@@ -61,3 +61,9 @@ let iter_matches store ctp row ~f =
   else
     Rdf_store.Snapshot.iter store ?s:(key_of row ctp.cs)
       ?p:(key_of row ctp.cp) ?o:(key_of row ctp.co) ~f ()
+
+let iter_strided store ctp row ~stride ~f =
+  if has_missing ctp then ()
+  else
+    Rdf_store.Snapshot.iter_strided store ?s:(key_of row ctp.cs)
+      ?p:(key_of row ctp.cp) ?o:(key_of row ctp.co) ~stride ~f ()

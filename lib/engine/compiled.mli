@@ -49,3 +49,15 @@ val iter_matches :
   Sparql.Binding.t ->
   f:(s:int -> p:int -> o:int -> unit) ->
   unit
+
+(** [iter_strided store ctp row ~stride ~f] visits the matches
+    {!iter_matches} enumerates at positions [0, stride, 2·stride, …]
+    while [f] returns [true], reading them by position
+    ({!Rdf_store.Snapshot.iter_strided}). *)
+val iter_strided :
+  Rdf_store.Snapshot.t ->
+  t ->
+  Sparql.Binding.t ->
+  stride:int ->
+  f:(s:int -> p:int -> o:int -> bool) ->
+  unit

@@ -91,20 +91,22 @@ let bind_match pattern row ~s ~p ~o =
   if !consistent then Some fresh else None
 
 (* Matches of [pattern] under [row], sampled at most [limit], evenly
-   spaced. Also returns the total match count. *)
+   spaced: the matches at positions 0, stride, 2·stride, … that bind
+   consistently, read by position — O(limit · log n), whatever the size
+   of the pattern's range. Also returns the total match count. *)
 let sample_matches store pattern row ~limit =
   let total = Compiled.count_with store pattern row in
   if total = 0 then (0, [])
   else begin
     let stride = max 1 (total / limit) in
-    let collected = ref [] in
-    let i = ref 0 in
-    Compiled.iter_matches store pattern row ~f:(fun ~s ~p ~o ->
-        (if !i mod stride = 0 && List.length !collected < limit then
-           match bind_match pattern row ~s ~p ~o with
-           | Some fresh -> collected := fresh :: !collected
-           | None -> ());
-        incr i);
+    let collected = ref [] and n = ref 0 in
+    Compiled.iter_strided store pattern row ~stride ~f:(fun ~s ~p ~o ->
+        (match bind_match pattern row ~s ~p ~o with
+        | Some fresh ->
+            collected := fresh :: !collected;
+            incr n
+        | None -> ());
+        !n < limit);
     (total, List.rev !collected)
   end
 
@@ -152,8 +154,7 @@ let avg_edge_of stats bound pattern ~fallback =
       | first :: rest -> List.fold_left Float.min first rest)
   | Compiled.Cvar _ | Compiled.Missing -> fallback
 
-let plan store stats table patterns =
-  ignore table;
+let plan_with ~sample_matches store stats table patterns =
   match patterns with
   | [] ->
       { steps = []; vsteps = []; result_card = 1.; cost_wco = 0.; cost_hash = 0. }
@@ -239,3 +240,6 @@ let plan store stats table patterns =
             end
       in
       loop [] with_counts 1. [] [] 0. 0.
+
+let plan store stats table patterns =
+  plan_with ~sample_matches store stats table patterns

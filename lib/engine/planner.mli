@@ -51,3 +51,33 @@ val plan :
 
 (** [sample_size] is the bounded sample used per extension step. *)
 val sample_size : int
+
+(** [sample_matches store pattern row ~limit] is [(total, rows)]: the
+    number of matches of [pattern] under [row], and the bindings of the
+    matches at positions [0, stride, 2·stride, …] of the snapshot's
+    match order ([stride = max 1 (total / limit)]) that bind
+    consistently, at most [limit] of them. Rows are read by position,
+    so a call costs O(limit · log n) rather than a scan of the
+    pattern's range. *)
+val sample_matches :
+  Rdf_store.Snapshot.t ->
+  Compiled.t ->
+  Sparql.Binding.t ->
+  limit:int ->
+  int * Sparql.Binding.t list
+
+(** [plan_with ~sample_matches] is {!plan} drawing its samples from the
+    given sampler instead of {!sample_matches} — the hook by which tests
+    hold the planner's output against a reference sampler. *)
+val plan_with :
+  sample_matches:
+    (Rdf_store.Snapshot.t ->
+    Compiled.t ->
+    Sparql.Binding.t ->
+    limit:int ->
+    int * Sparql.Binding.t list) ->
+  Rdf_store.Snapshot.t ->
+  Rdf_store.Stats.t ->
+  Sparql.Vartable.t ->
+  Compiled.t list ->
+  plan

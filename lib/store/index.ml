@@ -60,6 +60,15 @@ let key3 order (tbl : table) i =
   | Osp -> tbl.p.(i)
   | Ops -> tbl.s.(i)
 
+let keys_of_spo order s p o =
+  match order with
+  | Spo -> (s, p, o)
+  | Sop -> (s, o, p)
+  | Pso -> (p, s, o)
+  | Pos -> (p, o, s)
+  | Osp -> (o, s, p)
+  | Ops -> (o, p, s)
+
 (* Inverse: reassemble (s, p, o) from the key components of [order]. *)
 let spo_of_keys order k1 k2 k3 =
   match order with
@@ -110,13 +119,48 @@ let of_sorted order ~mode ~n ~key1:k1f ~key2:k2f ~key3:k3f =
     k3 = Column.Builder.finish k3b;
   }
 
-(* Build time is dominated by the sort. When every id fits in 21 bits
-   (2M distinct terms) the three key components pack into one 63-bit int
-   whose natural order is the lexicographic key order; larger
-   dictionaries compare three precomputed key arrays. *)
+(* The one sort behind every index build, chosen by cost. An LSD radix
+   sort runs three stable counting passes, each O(n) over the rows plus
+   O(max_id) over a counts array spanning the id range; a comparison sort
+   is O(n log n) and independent of the id range. Bulk loads and
+   checkpoints (n comparable to the dictionary) take radix; a delta — a
+   few rows whose ids reach across the whole dictionary — takes the
+   comparison sort, so publishing a commit costs nothing proportional to
+   the dictionary. *)
+let radix_pays ~n ~max_id =
+  let rec log2 k acc = if k <= 1 then acc else log2 (k lsr 1) (acc + 1) in
+  3 * ((2 * n) + max_id) <= 2 * n * log2 n 0
+
+let counting_pass ~n ~max_id ~key src dst =
+  let counts = Array.make (max_id + 2) 0 in
+  for i = 0 to n - 1 do
+    let k = key (Array.unsafe_get src i) in
+    Array.unsafe_set counts (k + 1) (Array.unsafe_get counts (k + 1) + 1)
+  done;
+  for v = 1 to max_id + 1 do
+    counts.(v) <- counts.(v) + counts.(v - 1)
+  done;
+  for i = 0 to n - 1 do
+    let r = Array.unsafe_get src i in
+    let k = key r in
+    Array.unsafe_set dst (Array.unsafe_get counts k) r;
+    Array.unsafe_set counts k (Array.unsafe_get counts k + 1)
+  done
+
+let radix_sort_perm ~n ~max_id ~key1 ~key2 ~key3 =
+  let a = Array.init n Fun.id in
+  let b = Array.make n 0 in
+  counting_pass ~n ~max_id ~key:key3 a b;
+  counting_pass ~n ~max_id ~key:key2 b a;
+  counting_pass ~n ~max_id ~key:key1 a b;
+  b
+
+(* When every id fits in 21 bits (2M distinct terms) the three key
+   components pack into one 63-bit int whose natural order is the
+   lexicographic key order; larger ids compare three key arrays. *)
 let packable_bits = 21
 
-let sort_perm ~n ~max_id ~key1:k1f ~key2:k2f ~key3:k3f =
+let comparison_sort_perm ~n ~max_id ~key1:k1f ~key2:k2f ~key3:k3f =
   let perm = Array.init n Fun.id in
   if max_id < 1 lsl packable_bits then begin
     let packed =
@@ -139,6 +183,10 @@ let sort_perm ~n ~max_id ~key1:k1f ~key2:k2f ~key3:k3f =
       perm
   end;
   perm
+
+let sort_perm ~n ~max_id ~key1 ~key2 ~key3 =
+  if radix_pays ~n ~max_id then radix_sort_perm ~n ~max_id ~key1 ~key2 ~key3
+  else comparison_sort_perm ~n ~max_id ~key1 ~key2 ~key3
 
 let build ?(mode = Column.default_mode ()) order table =
   let n = Array.length table.s in
@@ -302,14 +350,26 @@ let iter t ~lo ~hi ~f =
         f ~s ~p ~o)
   end
 
-(* Cold single-row access (compaction seeds, the predicate walk). *)
-let row t pos =
+(* Positional access. A cursor carries the decode state of the two
+   packed columns, so a run of nearby positions (a strided sample)
+   decodes each touched block once. *)
+type cursor = { l2cur : Column.cursor; k3cur : Column.cursor }
+
+let cursor t = { l2cur = Column.cursor t.l2_keys; k3cur = Column.cursor t.k3 }
+
+let row t cur pos =
   let j = l2_of_pos t pos in
   let g = l1_of_l2 t j in
   spo_of_keys t.order
     (Column.get t.l1_keys g)
-    (Column.get t.l2_keys j)
-    (Column.get t.k3 pos)
+    (Column.read t.l2_keys cur.l2cur j)
+    (Column.read t.k3 cur.k3cur pos)
+
+(* Rows ordered before (s, p, o) in this index: the triple's position
+   when present. *)
+let rank t ~s ~p ~o =
+  let a, b, c = keys_of_spo t.order s p o in
+  fst (range t ~a ~b ~c ())
 
 (* [iter_firsts t ~f] — every distinct first-key value with its global
    row range, in key order: the per-predicate statistics walk on PSO. *)

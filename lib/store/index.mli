@@ -11,7 +11,7 @@
 type order = Spo | Sop | Pso | Pos | Osp | Ops
 
 (** A raw triple table: [s.(i), p.(i), o.(i)] is the i-th triple. Used
-    by small builds (deltas, tests); bulk loads feed {!of_sorted}. *)
+    by {!build} (tests); index sets feed {!of_sorted}. *)
 type table = { s : int array; p : int array; o : int array }
 
 type t
@@ -25,9 +25,30 @@ val length : t -> int
 val mem_bytes : t -> int
 
 (** [build ?mode order table] sorts the rows of [table]
-    lexicographically by the components of [order] and encodes the
-    index ([mode] defaults to {!Column.default_mode}). *)
+    lexicographically by the components of [order] with {!sort_perm}
+    and encodes the index ([mode] defaults to {!Column.default_mode}). *)
 val build : ?mode:Column.mode -> order -> table -> t
+
+(** [sort_perm ~n ~max_id ~key1 ~key2 ~key3] is the permutation of
+    [0..n-1] that sorts rows lexicographically by their key components,
+    all of which lie in [0, max_id]. The one sort behind every index
+    build: an LSD radix sort, O(n + max_id) per pass, when
+    {!radix_pays}; otherwise a comparison sort on packed keys,
+    O(n log n) whatever the id range. *)
+val sort_perm :
+  n:int ->
+  max_id:int ->
+  key1:(int -> int) ->
+  key2:(int -> int) ->
+  key3:(int -> int) ->
+  int array
+
+(** [radix_pays ~n ~max_id] is the cost rule {!sort_perm} applies: true
+    when three counting passes over [n] rows and an id range of
+    [max_id] cost no more than a comparison sort of [n] rows. Bulk
+    loads and checkpoints pass it; a small delta over a large
+    dictionary does not. *)
+val radix_pays : n:int -> max_id:int -> bool
 
 (** [of_sorted order ~mode ~n ~key1 ~key2 ~key3] encodes [n] rows
     already sorted lexicographically by their key components, streamed
@@ -86,9 +107,20 @@ val view_lower_bound : view -> from:int -> int -> int
     positions [lo..hi-1], in index order, decoding each block once. *)
 val iter : t -> lo:int -> hi:int -> f:(s:int -> p:int -> o:int -> unit) -> unit
 
-(** [row index pos] is the (s, p, o) at global position [pos] (cold
-    path: decodes a block per call). *)
-val row : t -> int -> int * int * int
+(** Decode state for positional reads: nearby positions read through
+    one cursor decode each touched block once. Single-reader mutable
+    state, like a {!view}. *)
+type cursor
+
+val cursor : t -> cursor
+
+(** [row index cur pos] is the (s, p, o) at global position [pos]. *)
+val row : t -> cursor -> int -> int * int * int
+
+(** [rank index ~s ~p ~o] is the number of rows ordered before
+    [(s, p, o)] in the index's component order — the triple's position
+    when it is present. *)
+val rank : t -> s:int -> p:int -> o:int -> int
 
 (** [iter_firsts index ~f] — every distinct first-key value with its
     global row range, in key order (the per-predicate walk on PSO). *)

@@ -6,13 +6,17 @@
    freely across domains; the index payload itself lives off-heap in
    {!Column} storage.
 
-   Bulk builds run in two stages:
-     1. radix-sort a permutation of the raw (s, p, o) columns in SPO
-        order and dedup into exact columns;
+   Builds run in two stages:
+     1. sort a permutation of the raw (s, p, o) columns in SPO order and
+        dedup into exact columns;
      2. fan the six per-order builds out over the injected {!Bulk}
-        runner — each task radix-sorts its own permutation over the
+        runner — each task sorts its own permutation over the
         deduplicated columns and streams it into {!Index.of_sorted}
-        (single-pass encode, no materialized key arrays). *)
+        (single-pass encode, no materialized key arrays).
+   Every sort is {!Index.sort_perm}, which picks radix or comparison by
+   cost: bulk loads and checkpoints radix-sort, while a delta's few rows
+   take the comparison sort instead of sweeping the dictionary's id
+   range. *)
 
 type t = {
   n : int;
@@ -23,33 +27,6 @@ type t = {
   osp : Index.t;
   ops : Index.t;
 }
-
-(* LSD radix sort of row indices by (key1, key2, key3): three stable
-   counting passes (key3 first). O(3n + 3·max_id) — far cheaper than a
-   comparison sort at bulk-load scale, and branch-free. *)
-let counting_pass ~n ~max_id ~key src dst =
-  let counts = Array.make (max_id + 2) 0 in
-  for i = 0 to n - 1 do
-    let k = key (Array.unsafe_get src i) in
-    Array.unsafe_set counts (k + 1) (Array.unsafe_get counts (k + 1) + 1)
-  done;
-  for v = 1 to max_id + 1 do
-    counts.(v) <- counts.(v) + counts.(v - 1)
-  done;
-  for i = 0 to n - 1 do
-    let r = Array.unsafe_get src i in
-    let k = key r in
-    Array.unsafe_set dst (Array.unsafe_get counts k) r;
-    Array.unsafe_set counts k (Array.unsafe_get counts k + 1)
-  done
-
-let radix_sort_perm ~n ~max_id ~key1 ~key2 ~key3 =
-  let a = Array.init n Fun.id in
-  let b = Array.make n 0 in
-  counting_pass ~n ~max_id ~key:key3 a b;
-  counting_pass ~n ~max_id ~key:key2 b a;
-  counting_pass ~n ~max_id ~key:key1 a b;
-  b
 
 (* Key accessors for each order over three raw columns. *)
 let keys_of_order (cs : int array) cp co = function
@@ -76,7 +53,7 @@ let build_indexes ~mode ~max_id ~sorted_spo ds dp dob =
         if order = Index.Spo && sorted_spo then
           Index.of_sorted order ~mode ~n ~key1:k1 ~key2:k2 ~key3:k3
         else begin
-          let perm = radix_sort_perm ~n ~max_id ~key1:k1 ~key2:k2 ~key3:k3 in
+          let perm = Index.sort_perm ~n ~max_id ~key1:k1 ~key2:k2 ~key3:k3 in
           Index.of_sorted order ~mode ~n
             ~key1:(fun i -> k1 perm.(i))
             ~key2:(fun i -> k2 perm.(i))
@@ -112,7 +89,7 @@ let of_columns ?mode ?len ~s ~p ~o () =
   let sk i = Array.unsafe_get s i
   and pk i = Array.unsafe_get p i
   and ok i = Array.unsafe_get o i in
-  let perm = radix_sort_perm ~n:n0 ~max_id ~key1:sk ~key2:pk ~key3:ok in
+  let perm = Index.sort_perm ~n:n0 ~max_id ~key1:sk ~key2:pk ~key3:ok in
   (* Dedup into exact columns; the possibly-oversized inputs are dropped
      here and never reach the indexes. *)
   let distinct = ref 0 in
@@ -196,14 +173,17 @@ let plan_lookup t ?s ?p ?o () =
   | None, Some p, Some o -> (t.pos, Some p, Some o, None)
   | Some s, Some p, Some o -> (t.spo, Some s, Some p, Some o)
 
-let count t ?s ?p ?o () =
+let pattern_range t ?s ?p ?o () =
   let idx, a, b, c = plan_lookup t ?s ?p ?o () in
   let lo, hi = Index.range idx ?a ?b ?c () in
+  (idx, lo, hi)
+
+let count t ?s ?p ?o () =
+  let _, lo, hi = pattern_range t ?s ?p ?o () in
   hi - lo
 
 let iter t ?s ?p ?o ~f () =
-  let idx, a, b, c = plan_lookup t ?s ?p ?o () in
-  let lo, hi = Index.range idx ?a ?b ?c () in
+  let idx, lo, hi = pattern_range t ?s ?p ?o () in
   Index.iter idx ~lo ~hi ~f
 
 let contains t ~s ~p ~o = count t ~s ~p ~o () > 0

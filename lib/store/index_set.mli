@@ -49,6 +49,13 @@ val index : t -> Index.order -> Index.t
 
 val count : t -> ?s:int -> ?p:int -> ?o:int -> unit -> int
 
+(** [pattern_range t ?s ?p ?o ()] is the index a pattern reads and the
+    row range [(lo, hi)] of its matches there; {!iter} visits exactly
+    those rows, in that index's order. Two index sets answer the same
+    pattern from the same order, so their ranges line up row for row. *)
+val pattern_range :
+  t -> ?s:int -> ?p:int -> ?o:int -> unit -> Index.t * int * int
+
 val iter :
   t -> ?s:int -> ?p:int -> ?o:int ->
   f:(s:int -> p:int -> o:int -> unit) -> unit -> unit

@@ -67,7 +67,10 @@ let iter t ?s ?p ?o ~f () =
   if Delta.is_empty t.delta then Triple_store.iter t.base ?s ?p ?o ~f ()
   else begin
     let dels = Delta.dels t.delta in
-    if Index_set.is_empty dels then Triple_store.iter t.base ?s ?p ?o ~f ()
+    (* One range count decides whether any deletion can hit this
+       pattern; only then does each base row pay a membership probe. *)
+    if Index_set.is_empty dels || Index_set.count dels ?s ?p ?o () = 0 then
+      Triple_store.iter t.base ?s ?p ?o ~f ()
     else
       Triple_store.iter t.base ?s ?p ?o
         ~f:(fun ~s ~p ~o ->
@@ -77,6 +80,54 @@ let iter t ?s ?p ?o ~f () =
   end
 
 let iter_all t ~f = iter t ~f ()
+
+(* The rows [iter] would visit at positions 0, stride, 2·stride, …, read
+   by position instead of by scan. The visible stream is the base range
+   minus its deleted rows, then the adds range. Deletions lie inside
+   the base range (dels ⊆ base) and are sorted in the same order, so
+   the walk over them locates each deleted base position (a rank lookup)
+   only when a sampled position reaches it: the cost is O(#samples +
+   #deletions passed) lookups, not O(range). *)
+let iter_strided t ?s ?p ?o ~stride ~f () =
+  if stride < 1 then invalid_arg "Snapshot.iter_strided: stride < 1";
+  let idx, lo, hi =
+    Index_set.pattern_range (Triple_store.indexes t.base) ?s ?p ?o ()
+  in
+  let didx, dlo, dhi = Index_set.pattern_range (Delta.dels t.delta) ?s ?p ?o () in
+  let aidx, alo, ahi = Index_set.pattern_range (Delta.adds t.delta) ?s ?p ?o () in
+  let nbase = hi - lo - (dhi - dlo) in
+  let total = nbase + (ahi - alo) in
+  let cur = Index.cursor idx in
+  let dcur = lazy (Index.cursor didx) and acur = lazy (Index.cursor aidx) in
+  (* [next_del] is the first deletion not yet skipped; [del_pos] its base
+     position once located (-1 before). *)
+  let next_del = ref dlo and del_pos = ref (-1) in
+  let rec visit v =
+    if v < total then begin
+      let s, p, o =
+        if v < nbase then begin
+          let pos = ref (lo + v + (!next_del - dlo)) in
+          let continue = ref true in
+          while !continue && !next_del < dhi do
+            if !del_pos < 0 then begin
+              let s, p, o = Index.row didx (Lazy.force dcur) !next_del in
+              del_pos := Index.rank idx ~s ~p ~o
+            end;
+            if !del_pos <= !pos then begin
+              incr next_del;
+              del_pos := -1;
+              incr pos
+            end
+            else continue := false
+          done;
+          Index.row idx cur !pos
+        end
+        else Index.row aidx (Lazy.force acur) (alo + v - nbase)
+      in
+      if f ~s ~p ~o then visit (v + stride)
+    end
+  in
+  visit 0
 
 (* The multiway intersection kernel wants a strictly increasing third
    column for a (key1, key2) prefix. When the delta is silent for this

@@ -63,6 +63,15 @@ val contains : t -> s:int -> p:int -> o:int -> bool
 
 val iter_all : t -> f:(s:int -> p:int -> o:int -> unit) -> unit
 
+(** [iter_strided t ?s ?p ?o ~stride ~f ()] applies [f] to the rows
+    {!iter} visits at positions [0, stride, 2·stride, …], in that order,
+    while [f] returns [true]. Rows are read by position, so a call costs
+    O(log n) per visited row plus one lookup per deletion the walk
+    passes — not a scan of the pattern's range. [stride >= 1]. *)
+val iter_strided :
+  t -> ?s:int -> ?p:int -> ?o:int -> stride:int ->
+  f:(s:int -> p:int -> o:int -> bool) -> unit -> unit
+
 (** [third_column_view t ?s ?p ?o ()] — with exactly two bound
     positions, the strictly increasing third-column view. Zero-copy
     passthrough of the base view when the delta is silent for the

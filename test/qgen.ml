@@ -1,6 +1,7 @@
 (* Shared qcheck generators for the engine/core/LBR property tests: random
    small RDF datasets and random SPARQL-UO queries over their vocabulary,
-   plus the Definition-7 oracle to compare engines against. *)
+   plus the Definition-7 oracle to compare engines against, and the
+   allocation count the cost-independence tests read. *)
 
 module TP = Sparql.Triple_pattern
 
@@ -233,3 +234,18 @@ let pp_query q = Sparql.Ast.to_string q
 
 let pp_dataset triples =
   String.concat "" (List.map Rdf.Triple.to_ntriples triples)
+
+(* Words allocated on the OCaml heap while [f] runs: minor plus major
+   allocations, minus the promotions counted in both. A count of work,
+   not a wall time, so it does not depend on the host. The minor
+   collection before each reading brings the minor-word counter up to
+   date. *)
+let words_allocated f =
+  let total () =
+    Gc.minor ();
+    let st = Gc.quick_stat () in
+    st.minor_words +. st.major_words -. st.promoted_words
+  in
+  let before = total () in
+  f ();
+  total () -. before

@@ -139,6 +139,169 @@ let test_planner_single_pattern_exact () =
   Alcotest.(check (float 0.0001)) "single pattern cardinality exact" 3.
     plan.Engine.Planner.result_card
 
+(* The scanning sampler the planner used before positional sampling:
+   enumerate every match and keep the consistent ones at multiples of
+   the stride. It stays here as the reference the positional sampler
+   must reproduce exactly. *)
+let oracle_bind_match pattern row ~s ~p ~o =
+  let fresh = Array.copy row in
+  let consistent = ref true in
+  let bind node value =
+    match node with
+    | Engine.Compiled.Cvar col ->
+        if fresh.(col) = Sparql.Binding.unbound then fresh.(col) <- value
+        else if fresh.(col) <> value then consistent := false
+    | Engine.Compiled.Cterm _ | Engine.Compiled.Missing -> ()
+  in
+  bind pattern.Engine.Compiled.cs s;
+  bind pattern.Engine.Compiled.cp p;
+  bind pattern.Engine.Compiled.co o;
+  if !consistent then Some fresh else None
+
+let scan_sample_matches store pattern row ~limit =
+  let total = Engine.Compiled.count_with store pattern row in
+  if total = 0 then (0, [])
+  else begin
+    let stride = max 1 (total / limit) in
+    let collected = ref [] in
+    let i = ref 0 in
+    Engine.Compiled.iter_matches store pattern row ~f:(fun ~s ~p ~o ->
+        (if !i mod stride = 0 && List.length !collected < limit then
+           match oracle_bind_match pattern row ~s ~p ~o with
+           | Some fresh -> collected := fresh :: !collected
+           | None -> ());
+        incr i);
+    (total, List.rev !collected)
+  end
+
+(* Random encoded stores with a random delta — deletions drawn from the
+   base, additions outside it, both landing inside and outside any
+   given pattern's range — plus a pattern (repeated variables
+   included), a partly bound row and a sample limit. *)
+let gen_sampler_case =
+  QCheck2.Gen.(
+    let row = triple (int_range 0 9) (int_range 0 3) (int_range 0 9) in
+    let node =
+      frequency
+        [
+          (2, map (fun c -> Engine.Compiled.Cvar c) (int_range 0 2));
+          (1, map (fun i -> Engine.Compiled.Cterm i) (int_range 0 9));
+        ]
+    in
+    let* base = list_size (int_range 0 200) row in
+    let* del_picks = list_size (int_range 0 80) nat in
+    let* adds = list_size (int_range 0 60) row in
+    let* with_delta = bool in
+    let* cs, cp, co = triple node node node in
+    let* bound = list_repeat 3 (option (int_range 0 9)) in
+    let* limit = int_range 1 40 in
+    return (base, del_picks, adds, with_delta, (cs, cp, co), bound, limit))
+
+let snapshot_of_case (base, del_picks, adds, with_delta) =
+  let base = Array.of_list (List.sort_uniq compare base) in
+  let store =
+    Rdf_store.Triple_store.of_encoded_rows (Rdf_store.Dictionary.create ()) base
+  in
+  if not with_delta then Rdf_store.Snapshot.of_store store
+  else begin
+    let n = Array.length base in
+    let dels =
+      if n = 0 then []
+      else List.sort_uniq compare (List.map (fun i -> base.(i mod n)) del_picks)
+    in
+    let adds =
+      List.sort_uniq compare
+        (List.filter (fun r -> not (Array.mem r base)) adds)
+    in
+    let delta =
+      Rdf_store.Delta.make ~gen:1 ~adds:(Array.of_list adds)
+        ~dels:(Array.of_list dels)
+    in
+    Rdf_store.Snapshot.make ~base:store ~delta ~version:0
+  end
+
+let prop_positional_sampler_matches_scan =
+  QCheck2.Test.make ~name:"positional sampler = scanning sampler" ~count:500
+    gen_sampler_case
+    (fun (base, del_picks, adds, with_delta, (cs, cp, co), bound, limit) ->
+      let snap = snapshot_of_case (base, del_picks, adds, with_delta) in
+      let pattern =
+        {
+          Engine.Compiled.cs;
+          cp;
+          co;
+          source = TP.make (v "s") (v "p") (v "o");
+        }
+      in
+      let row = Sparql.Binding.create ~width:3 in
+      List.iteri (fun col b -> Option.iter (fun id -> row.(col) <- id) b) bound;
+      Engine.Planner.sample_matches snap pattern row ~limit
+      = scan_sample_matches snap pattern row ~limit)
+
+let rec bgps_of_group group =
+  List.concat_map
+    (function
+      | Sparql.Ast.Triples tps -> [ tps ]
+      | Sparql.Ast.Group g | Sparql.Ast.Optional g | Sparql.Ast.Minus g ->
+          bgps_of_group g
+      | Sparql.Ast.Union gs -> List.concat_map bgps_of_group gs
+      | Sparql.Ast.Filter _ | Sparql.Ast.Values _ -> [])
+    group
+
+(* Plans drawn through the positional sampler equal the plans the
+   scanning sampler yields, structurally — estimates and costs
+   included — on every BGP of random queries, with and without a
+   delta. *)
+let prop_plans_unchanged =
+  QCheck2.Test.make ~name:"plans unchanged under positional sampling"
+    ~count:150
+    QCheck2.Gen.(
+      quad Qgen.gen_dataset Qgen.gen_query Qgen.gen_dataset Qgen.gen_dataset)
+    (fun (triples, query, inserts, deletes) ->
+      let store = Rdf_store.Triple_store.of_triples triples in
+      let mvcc = Rdf_store.Mvcc.create store in
+      let written = Rdf_store.Mvcc.apply mvcc ~inserts ~deletes in
+      let table =
+        Sparql.Vartable.of_list (Sparql.Ast.group_vars query.Sparql.Ast.where)
+      in
+      List.for_all
+        (fun snap ->
+          let stats = Rdf_store.Stats.of_snapshot snap in
+          List.for_all
+            (fun tps ->
+              let compiled = Engine.Compiled.compile_list snap table tps in
+              Engine.Planner.plan snap stats table compiled
+              = Engine.Planner.plan_with ~sample_matches:scan_sample_matches
+                  snap stats table compiled)
+            (bgps_of_group query.Sparql.Ast.where))
+        [ Rdf_store.Snapshot.of_store store; written ])
+
+(* Planning one pattern samples it by position, so the work does not
+   grow with the pattern's range: predicate ranges 10x apart allocate
+   within 2x. *)
+let test_planner_cost_independent_of_range () =
+  let triples =
+    List.init 300 (fun i -> Rdf.Triple.make (iri i) (pred 0) (iri (i + 1)))
+    @ List.init 3000 (fun i -> Rdf.Triple.make (iri i) (pred 1) (iri (i + 2)))
+  in
+  let store = Rdf_store.Triple_store.of_triples triples in
+  let snap = Rdf_store.Snapshot.of_store store in
+  let stats = Rdf_store.Stats.compute store in
+  let plan_words p =
+    let table = Sparql.Vartable.create () in
+    let patterns =
+      Engine.Compiled.compile_list snap table
+        [ TP.make (v "x") (TP.Term (pred p)) (v "y") ]
+    in
+    ignore (Engine.Planner.plan snap stats table patterns);
+    Qgen.words_allocated (fun () ->
+        ignore (Engine.Planner.plan snap stats table patterns))
+  in
+  let small = plan_words 0 and large = plan_words 1 in
+  if large > 2. *. small then
+    Alcotest.failf "planning allocated %.0f words over 3000 rows vs %.0f over 300"
+      large small
+
 (* --- Candidates ------------------------------------------------------------------ *)
 
 let test_candidates () =
@@ -853,6 +1016,10 @@ let () =
           Alcotest.test_case "empty BGP" `Quick test_planner_empty;
           Alcotest.test_case "selective first" `Quick test_planner_selective_first;
           Alcotest.test_case "single-pattern exact card" `Quick test_planner_single_pattern_exact;
+          QCheck_alcotest.to_alcotest prop_positional_sampler_matches_scan;
+          QCheck_alcotest.to_alcotest prop_plans_unchanged;
+          Alcotest.test_case "planning cost independent of range" `Quick
+            test_planner_cost_independent_of_range;
         ] );
       ("candidates", [ Alcotest.test_case "membership" `Quick test_candidates ]);
       ( "equivalence",

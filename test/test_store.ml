@@ -96,6 +96,91 @@ let test_index_bad_prefix () =
     (Invalid_argument "Index.range: non-prefix key combination") (fun () ->
       ignore (Rdf_store.Index.range idx ~b:2 ()))
 
+(* One cost-chosen sort builds every index: whichever of radix and the
+   packed-key comparison sort [Index.radix_pays] picks, an index set
+   holds the distinct rows in each of the six orders and answers every
+   bound-position combination like a naive filter. Dense draws (many
+   rows over ids 0..7) take radix; sparse ones (ids up to 2^30, past the
+   21-bit packing limit half the time) take the comparison sort; both
+   repeat rows. *)
+let keys_in order (s, p, o) =
+  match order with
+  | Rdf_store.Index.Spo -> (s, p, o)
+  | Sop -> (s, o, p)
+  | Pso -> (p, s, o)
+  | Pos -> (p, o, s)
+  | Osp -> (o, s, p)
+  | Ops -> (o, p, s)
+
+let gen_sort_case =
+  QCheck2.Gen.(
+    let* dense = bool in
+    if dense then
+      let* rows =
+        list_size (int_range 64 300)
+          (triple (int_range 0 7) (int_range 0 7) (int_range 0 7))
+      in
+      return (true, rows)
+    else
+      let* wide = bool in
+      let top = if wide then 1 lsl 30 else 1 lsl 20 in
+      let* pool = list_size (int_range 1 12) (int_range 4096 top) in
+      let pool = Array.of_list pool in
+      let pick = map (fun i -> pool.(i mod Array.length pool)) nat in
+      let* rows = list_size (int_range 1 60) (triple pick pick pick) in
+      return (false, rows))
+
+let prop_one_sort_same_indexes =
+  QCheck2.Test.make ~name:"cost-chosen sort: same rows and counts" ~count:300
+    gen_sort_case (fun (dense, rows) ->
+      let n = List.length rows in
+      let max_id =
+        List.fold_left (fun m (s, p, o) -> max m (max s (max p o))) 0 rows
+      in
+      if Rdf_store.Index.radix_pays ~n ~max_id <> dense then
+        QCheck2.Test.fail_reportf "cost rule: dense=%b but radix_pays=%b" dense
+          (not dense);
+      let set = Rdf_store.Index_set.of_rows (Array.of_list rows) in
+      let distinct = List.sort_uniq compare rows in
+      let orders_ok =
+        List.for_all
+          (fun order ->
+            let idx = Rdf_store.Index_set.index set order in
+            let got = ref [] in
+            let lo, hi = Rdf_store.Index.range idx () in
+            Rdf_store.Index.iter idx ~lo ~hi ~f:(fun ~s ~p ~o ->
+                got := (s, p, o) :: !got);
+            let expected =
+              List.sort
+                (fun a b -> compare (keys_in order a) (keys_in order b))
+                distinct
+            in
+            List.rev !got = expected)
+          all_orders
+      in
+      let probes =
+        (0, 0, 0) :: (max_id + 1, 1, max_id) :: List.filteri (fun i _ -> i < 40) rows
+      in
+      let counts_ok =
+        List.for_all
+          (fun (ps, pp, po) ->
+            List.for_all
+              (fun mask ->
+                let pick bit v = if mask land bit <> 0 then Some v else None in
+                let s = pick 1 ps and p = pick 2 pp and o = pick 4 po in
+                let matches k = function None -> true | Some v -> v = k in
+                let expected =
+                  List.length
+                    (List.filter
+                       (fun (a, b, c) -> matches a s && matches b p && matches c o)
+                       distinct)
+                in
+                Rdf_store.Index_set.count set ?s ?p ?o () = expected)
+              [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+          probes
+      in
+      orders_ok && counts_ok)
+
 (* --- Triple store ------------------------------------------------------------- *)
 
 let test_store_dedup () =
@@ -444,6 +529,33 @@ let test_mvcc_concurrent_reader_writer () =
   Alcotest.(check int) "final size" (total + 1)
     (Rdf_store.Snapshot.size (Rdf_store.Mvcc.snapshot mvcc))
 
+(* Publishing a commit builds the delta's index sets; their sort must
+   not sweep the dictionary's id range. A one-triple commit whose terms
+   are the newest (largest) ids allocates about the same on stores
+   whose dictionaries differ 16x. *)
+let test_mvcc_commit_cost_independent_of_dictionary () =
+  let commit_words terms =
+    let store =
+      Rdf_store.Triple_store.of_triples
+        (List.init (terms / 2) (fun i ->
+             Rdf.Triple.make (iri (2 * i)) (iri 100) (iri ((2 * i) + 1))))
+    in
+    let mvcc = Rdf_store.Mvcc.create store in
+    let commit_fresh k =
+      let txn = Rdf_store.Mvcc.begin_txn mvcc in
+      Rdf_store.Mvcc.insert txn
+        (Rdf.Triple.make (iri (terms + (2 * k))) (iri 100)
+           (iri (terms + (2 * k) + 1)));
+      Qgen.words_allocated (fun () -> ignore (Rdf_store.Mvcc.commit txn))
+    in
+    ignore (commit_fresh 0);
+    commit_fresh 1
+  in
+  let small = commit_words 2_000 and large = commit_words 32_000 in
+  if large > 2. *. small then
+    Alcotest.failf "commit allocated %.0f words at 32k terms vs %.0f at 2k"
+      large small
+
 (* --- Stats ----------------------------------------------------------------------- *)
 
 let test_stats_counts () =
@@ -498,6 +610,7 @@ let () =
           Alcotest.test_case "sorted + prefix ranges" `Quick test_index_sorted_and_prefix;
           Alcotest.test_case "distinct counters" `Quick test_index_distincts;
           Alcotest.test_case "non-prefix rejected" `Quick test_index_bad_prefix;
+          QCheck_alcotest.to_alcotest prop_one_sort_same_indexes;
         ] );
       ( "triple_store",
         [
@@ -522,6 +635,8 @@ let () =
           Alcotest.test_case "auto-compaction" `Quick test_mvcc_auto_compaction;
           Alcotest.test_case "concurrent readers under a writer" `Quick
             test_mvcc_concurrent_reader_writer;
+          Alcotest.test_case "commit cost independent of dictionary size"
+            `Quick test_mvcc_commit_cost_independent_of_dictionary;
         ] );
       ( "stats",
         [
