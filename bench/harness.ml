@@ -86,42 +86,6 @@ let run_mode config ~stats store entry ~mode ~engine =
   done;
   (Option.get !best, Option.get !last_report)
 
-(* Best-of-N on an already-parsed query with explicit streaming/domains
-   knobs; also returns the produced-row count (the report's governed
-   [pushed_rows]) of the last repetition — the streaming section's
-   early-termination measurement. *)
-let run_query_mode config ~stats store query ~mode ~engine ~streaming ~domains =
-  let best = ref None in
-  let last_report = ref None in
-  let pushed = ref 0 in
-  for _ = 1 to config.repetitions do
-    let report =
-      Sparql_uo.Executor.run_query ~mode ~engine ~domains ~streaming
-        ~row_budget:config.row_budget ~timeout_ms:config.timeout_ms ~stats
-        store query
-    in
-    pushed := report.Sparql_uo.Executor.pushed_rows;
-    last_report := Some report;
-    let cell =
-      match report.Sparql_uo.Executor.failure with
-      | Some Sparql_uo.Executor.Out_of_budget -> Oom
-      | Some Sparql_uo.Executor.Timeout -> Timed_out
-      | Some (Sparql_uo.Executor.Cancelled | Sparql_uo.Executor.Injected_fault _)
-        ->
-          Timed_out
-      | None ->
-          Time
-            (report.Sparql_uo.Executor.transform_ms
-           +. report.Sparql_uo.Executor.exec_ms)
-    in
-    (match (!best, cell) with
-    | None, _ -> best := Some cell
-    | Some (Time t0), Time t -> if t < t0 then best := Some (Time t)
-    | Some (Oom | Timed_out), (Time _ as t) -> best := Some t
-    | Some _, _ -> ())
-  done;
-  (Option.get !best, Option.get !last_report, !pushed)
-
 let run_lbr config ~stats:_ env query =
   let best = ref None in
   for _ = 1 to config.repetitions do

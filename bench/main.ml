@@ -13,8 +13,8 @@
 
 let all_sections =
   [ "table2"; "table3"; "table4"; "fig3"; "fig10"; "fig11"; "fig12"; "fig13";
-    "ablation"; "micro"; "parallel"; "streaming"; "plan_cache"; "intersection";
-    "robustness"; "serving"; "durability"; "scale"; "adaptive" ]
+    "ablation"; "micro"; "parallel"; "plan_cache"; "robustness"; "serving";
+    "durability"; "scale"; "adaptive" ]
 
 type context = {
   config : Harness.config;
@@ -428,6 +428,12 @@ let micro ctx =
   let hash_env =
     Engine.Bgp_eval.make ~stats store vartable Engine.Bgp_eval.Hash_join
   in
+  let eval_bgp env bgp =
+    let bag = Sparql.Bag.create ~width:(Engine.Bgp_eval.width env) in
+    Engine.Bgp_eval.eval_into env bgp ~candidates:Engine.Candidates.empty
+      ~sink:(Sparql.Bag.sink bag);
+    bag
+  in
   let bgp =
     [
       Sparql.Triple_pattern.make
@@ -458,12 +464,10 @@ let micro ctx =
           (Staged.stage (fun () -> Sparql.Bag.union b1 b2));
         Test.make ~name:"bgp_eval_wco_triangle"
           (Staged.stage (fun () ->
-               Engine.Bgp_eval.eval wco_env bgp
-                 ~candidates:Engine.Candidates.empty));
+               eval_bgp wco_env bgp));
         Test.make ~name:"bgp_eval_hash_triangle"
           (Staged.stage (fun () ->
-               Engine.Bgp_eval.eval hash_env bgp
-                 ~candidates:Engine.Candidates.empty));
+               eval_bgp hash_env bgp));
         Test.make ~name:"parse_q1.1"
           (Staged.stage (fun () ->
                Sparql.Parser.parse
@@ -675,9 +679,9 @@ let parallel ctx ~domains =
       [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ]
   in
   (* Cross-domain early termination, measured: a streamed LIMIT 10 over a
-     chain join at max domains must scan far fewer rows than the
-     materializing run of the same query (which pays both full steps).
-     [pushed_rows] counts every produced row under the run's ticket. *)
+     chain join at max domains must scan far fewer rows than the same
+     query without LIMIT (which pays both full steps). [pushed_rows]
+     counts every produced row under the run's ticket. *)
   let early_termination =
     let n = 1000 in
     let chain =
@@ -695,19 +699,17 @@ let parallel ctx ~domains =
              ]))
     in
     let chain_store = Rdf_store.Triple_store.of_triples chain in
-    let text =
-      "SELECT * WHERE { ?x <http://b/p0> ?y . ?y <http://b/p1> ?z } LIMIT 10"
-    in
-    let run ~streaming =
+    let text = "SELECT * WHERE { ?x <http://b/p0> ?y . ?y <http://b/p1> ?z }" in
+    let run text =
       Engine.Pool.reset_counters ();
       let report =
         Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base
-          ~engine:Engine.Bgp_eval.Wco ~domains ~streaming chain_store text
+          ~engine:Engine.Bgp_eval.Wco ~domains chain_store text
       in
       (report.Sparql_uo.Executor.pushed_rows, Engine.Pool.counters ())
     in
-    let full_rows, _ = run ~streaming:false in
-    let streamed_rows, c = run ~streaming:true in
+    let full_rows, _ = run text in
+    let streamed_rows, c = run (text ^ " LIMIT 10") in
     Printf.printf
       "early termination: streamed LIMIT 10 at domains=%d scanned %d rows \
        (full scan %d; stops=%d)\n\
@@ -744,151 +746,6 @@ let parallel ctx ~domains =
     (String.concat ",\n" json_engines);
   close_out oc;
   Printf.printf "[bench] wrote %s\n%!" parallel_bench_file
-
-(* ------------------------------------------------------------------ *)
-(* Streaming: sink pipeline vs materializing modifiers.                *)
-(* ------------------------------------------------------------------ *)
-
-(* Not a paper figure: measures the push-based Sink layer. Each LUBM
-   group-1 query (plus a full ?s ?p ?o scan) runs plain, with LIMIT 10,
-   and with ORDER BY + LIMIT 10, under both modifier pipelines
-   (materializing and streaming) at domains 1 and N; wall-clock and
-   produced rows (the report's governed [pushed_rows]) go into a
-   machine-readable json. The
-   LIMIT window of an unordered query is legitimately nondeterministic,
-   so bag equality against the materializing serial run is asserted only
-   for the plain and fully-ordered variants (result counts otherwise). *)
-let streaming_bench_file = "bench_streaming.json"
-
-let streaming ctx ~domains =
-  Harness.section
-    (Printf.sprintf
-       "Streaming: sink pipeline vs materializing modifiers (LUBM, domains 1 \
-        and %d)"
-       domains);
-  let store, stats = Lazy.force ctx.lubm in
-  let entries =
-    Workload.Queries.group1 Workload.Queries.Lubm
-    @ [ { Workload.Queries.id = "scan"; group = 1;
-          text = "SELECT * WHERE { ?s ?p ?o . }" } ]
-  in
-  let runs_json = ref [] in
-  List.iter
-    (fun engine ->
-      Harness.subsection (Engine.Bgp_eval.engine_name engine);
-      let rows =
-        List.concat_map
-          (fun (entry : Workload.Queries.entry) ->
-            let q = Sparql.Parser.parse entry.Workload.Queries.text in
-            let order_key =
-              match Sparql.Ast.group_vars q.Sparql.Ast.where with
-              | v :: _ -> [ (v, false) ]
-              | [] -> []
-            in
-            let variants =
-              [
-                ("plain", q, true);
-                ("limit10", { q with Sparql.Ast.limit = Some 10 }, false);
-                ( "order+limit10",
-                  { q with Sparql.Ast.order_by = order_key; limit = Some 10 },
-                  (* One sort key does not totally order the rows, so the
-                     selected window is only count-deterministic. *)
-                  false );
-              ]
-            in
-            List.map
-              (fun (variant, query, check_bags) ->
-                let run ~streaming ~domains =
-                  Harness.run_query_mode ctx.config ~stats store query
-                    ~mode:Sparql_uo.Executor.Full ~engine ~streaming ~domains
-                in
-                let reference_cell, reference_report, reference_pushed =
-                  run ~streaming:false ~domains:1
-                in
-                let cells =
-                  List.map
-                    (fun (pipeline, streaming, domains) ->
-                      let cell, report, pushed = run ~streaming ~domains in
-                      let equal =
-                        match
-                          ( reference_report.Sparql_uo.Executor.bag,
-                            report.Sparql_uo.Executor.bag )
-                        with
-                        | Some b1, Some b2 ->
-                            if check_bags then Sparql.Bag.equal_as_bags b1 b2
-                            else
-                              Sparql.Bag.length b1 = Sparql.Bag.length b2
-                        | None, None -> true
-                        | _ -> false
-                      in
-                      runs_json :=
-                        Printf.sprintf
-                          "    {\"engine\": %S, \"id\": %S, \"variant\": %S, \
-                           \"pipeline\": %S, \"domains\": %d, \"ms\": %s, \
-                           \"pushed_rows\": %d, \"agrees\": %b}"
-                          (Engine.Bgp_eval.engine_name engine)
-                          entry.Workload.Queries.id variant pipeline domains
-                          (match cell with
-                          | Harness.Time ms -> Printf.sprintf "%.3f" ms
-                          | Harness.Oom | Harness.Timed_out -> "null")
-                          pushed equal
-                        :: !runs_json;
-                      (cell, pushed, equal))
-                    [
-                      ("materializing", false, domains);
-                      ("streaming", true, 1);
-                      ("streaming", true, domains);
-                    ]
-                in
-                runs_json :=
-                  Printf.sprintf
-                    "    {\"engine\": %S, \"id\": %S, \"variant\": %S, \
-                     \"pipeline\": \"materializing\", \"domains\": 1, \"ms\": \
-                     %s, \"pushed_rows\": %d, \"agrees\": true}"
-                    (Engine.Bgp_eval.engine_name engine)
-                    entry.Workload.Queries.id variant
-                    (match reference_cell with
-                    | Harness.Time ms -> Printf.sprintf "%.3f" ms
-                    | Harness.Oom | Harness.Timed_out -> "null")
-                    reference_pushed
-                  :: !runs_json;
-                let stream_d1_cell, stream_d1_pushed, _ = List.nth cells 1 in
-                let all_agree =
-                  List.for_all (fun (_, _, equal) -> equal) cells
-                in
-                [
-                  entry.Workload.Queries.id;
-                  variant;
-                  Harness.cell_to_string reference_cell;
-                  Harness.cell_to_string stream_d1_cell;
-                  Harness.human_int reference_pushed;
-                  Harness.human_int stream_d1_pushed;
-                  (if all_agree then "yes" else "NO");
-                ])
-              variants)
-          entries
-      in
-      Harness.print_table
-        ~header:
-          [
-            "Query"; "variant"; "mat d1 (ms)"; "stream d1 (ms)";
-            "rows mat"; "rows stream"; "agrees";
-          ]
-        ~rows)
-    [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ];
-  let oc = open_out streaming_bench_file in
-  Printf.fprintf oc
-    "{\n\
-    \  \"section\": \"streaming\",\n\
-    \  \"dataset\": \"LUBM\",\n\
-    \  \"mode\": \"full\",\n\
-    \  \"runs\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (String.concat ",\n" (List.rev !runs_json));
-  close_out oc;
-  Printf.printf "[bench] wrote %s\n%!" streaming_bench_file
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache: compile-once / execute-many amortization.               *)
@@ -1018,161 +875,6 @@ let plan_cache ctx =
     (String.concat ",\n" (List.rev !rows_json));
   close_out oc;
   Printf.printf "[bench] wrote %s\n%!" plan_cache_bench_file
-
-(* ------------------------------------------------------------------ *)
-(* Intersection: the vertex-at-a-time multiway WCO path vs the legacy  *)
-(* pattern-at-a-time baseline on star- and path-shaped LUBM queries.   *)
-(* ------------------------------------------------------------------ *)
-
-let intersection_bench_file = "bench_intersection.json"
-
-let intersection ctx =
-  Harness.section
-    "Multiway intersection: vertex-at-a-time vs pattern-at-a-time (LUBM, \
-     base/WCO, serial)";
-  let store, stats = Lazy.force ctx.lubm in
-  let prefixes =
-    "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n\
-     PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
-  in
-  (* Star queries: every pattern has ?x as its only variable, so the
-     multiway path evaluates the whole BGP as one k-way intersection (the
-     rdf:type operands are the large lists galloping is for). The path
-     query exercises Extend groups appearing after a two-column Scan. *)
-  let queries =
-    [
-      ( "star-dept",
-        "SELECT * WHERE { ?x ub:memberOf \
-         <http://www.Department0.University0.edu>. ?x rdf:type \
-         ub:UndergraduateStudent. ?x ub:takesCourse \
-         <http://www.Department0.University0.edu/Course0>. }" );
-      ( "star-alumni",
-        "SELECT * WHERE { ?x ub:undergraduateDegreeFrom \
-         <http://www.University0.edu>. ?x ub:mastersDegreeFrom \
-         <http://www.University0.edu>. ?x rdf:type ub:FullProfessor. }" );
-      ( "star-faculty",
-        "SELECT * WHERE { ?x ub:worksFor \
-         <http://www.Department0.University0.edu>. ?x rdf:type \
-         ub:FullProfessor. ?x ub:undergraduateDegreeFrom \
-         <http://www.University0.edu>. }" );
-      ( "path-advisor",
-        "SELECT * WHERE { ?x ub:advisor ?y. ?y ub:teacherOf ?z. ?x \
-         ub:takesCourse ?z. }" );
-    ]
-  in
-  let reps = max 3 ctx.config.Harness.repetitions in
-  let run_once text ~engine =
-    Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base ~engine ~domains:1
-      ~row_budget:ctx.config.Harness.row_budget
-      ~timeout_ms:ctx.config.Harness.timeout_ms ~stats store (prefixes ^ text)
-  in
-  let time_path ~multiway text =
-    Engine.Wco.set_multiway multiway;
-    Fun.protect ~finally:(fun () -> Engine.Wco.set_multiway true) @@ fun () ->
-    let best = ref infinity and last = ref None in
-    for _ = 1 to reps do
-      Gc.major ();
-      let report = run_once text ~engine:Engine.Bgp_eval.Wco in
-      let ms =
-        report.Sparql_uo.Executor.transform_ms
-        +. report.Sparql_uo.Executor.exec_ms
-      in
-      if ms < !best then best := ms;
-      last := Some report
-    done;
-    (!best, Option.get !last)
-  in
-  let rows_json = ref [] in
-  let max_speedup = ref 0. in
-  let rows =
-    List.map
-      (fun (id, text) ->
-        let multi_ms, multi_report = time_path ~multiway:true text in
-        let legacy_ms, legacy_report = time_path ~multiway:false text in
-        let hash_report = run_once text ~engine:Engine.Bgp_eval.Hash_join in
-        let count r = r.Sparql_uo.Executor.result_count in
-        let counts_equal =
-          count multi_report <> None
-          && count multi_report = count legacy_report
-          && count multi_report = count hash_report
-        in
-        let speedup = if multi_ms > 0. then legacy_ms /. multi_ms else 0. in
-        if String.length id >= 4 && String.sub id 0 4 = "star" then
-          max_speedup := Float.max !max_speedup speedup;
-        let results =
-          match count multi_report with Some n -> n | None -> 0
-        in
-        let rows_per_sec ms =
-          if ms > 0. then float_of_int results /. (ms /. 1000.) else 0.
-        in
-        let isect =
-          match multi_report.Sparql_uo.Executor.eval_stats with
-          | Some s -> s.Sparql_uo.Evaluator.isect
-          | None ->
-              {
-                Engine.Intersect.intersections = 0;
-                gallop_passes = 0;
-                merge_passes = 0;
-                domain_values = 0;
-                operands = 0;
-              }
-        in
-        rows_json :=
-          Printf.sprintf
-            "    {\"id\": %S, \"ms_multiway\": %.3f, \"ms_legacy\": %.3f, \
-             \"speedup\": %.3f, \"results\": %d, \"counts_equal\": %b, \
-             \"rows_per_sec_multiway\": %.1f, \"rows_per_sec_legacy\": %.1f, \
-             \"intersections\": %d, \"operands\": %d, \"gallop\": %d, \
-             \"merge\": %d, \"domain_values\": %d}"
-            id multi_ms legacy_ms speedup results counts_equal
-            (rows_per_sec multi_ms) (rows_per_sec legacy_ms)
-            isect.Engine.Intersect.intersections
-            isect.Engine.Intersect.operands isect.Engine.Intersect.gallop_passes
-            isect.Engine.Intersect.merge_passes
-            isect.Engine.Intersect.domain_values
-          :: !rows_json;
-        [
-          id;
-          Printf.sprintf "%.2f" multi_ms;
-          Printf.sprintf "%.2f" legacy_ms;
-          Printf.sprintf "%.2fx" speedup;
-          Harness.human_int results;
-          Printf.sprintf "%d/%d"
-            isect.Engine.Intersect.gallop_passes
-            isect.Engine.Intersect.merge_passes;
-          (if counts_equal then "yes" else "NO");
-        ])
-      queries
-  in
-  Harness.print_table
-    ~header:
-      [
-        "Query"; "multiway (ms)"; "legacy (ms)"; "speedup"; "results";
-        "gallop/merge"; "counts equal";
-      ]
-    ~rows;
-  Printf.printf "best star-query speedup: %.2fx\n%!" !max_speedup;
-  let oc = open_out intersection_bench_file in
-  Printf.fprintf oc
-    "{\n\
-    \  \"section\": \"intersection\",\n\
-    \  \"dataset\": \"LUBM\",\n\
-    \  \"mode\": \"base\",\n\
-    \  \"engine\": \"wco\",\n\
-    \  \"repetitions\": %d,\n\
-    \  \"max_star_speedup\": %.3f,\n\
-    \  \"peak_rss_mb\": %.1f,\n\
-    \  \"major_collections\": %d,\n\
-    \  \"queries\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    reps !max_speedup
-    (float_of_int (Harness.peak_rss_kb ()) /. 1024.)
-    (Harness.major_collections ())
-    (String.concat ",\n" (List.rev !rows_json));
-  close_out oc;
-  Printf.printf "[bench] wrote %s\n%!" intersection_bench_file
 
 (* ------------------------------------------------------------------ *)
 (* Robustness: governor overhead and kill latency.                     *)
@@ -1969,8 +1671,8 @@ let scale ctx ~domains =
    warm-up and are then timed best-of-N; the adaptive warm-up also
    primes a per-query [Feedback.t] — the cross-execution learning a
    session's plan cache provides. Result counts must match per query.
-   The count-pushdown subsection times the streaming ungrouped-aggregate
-   sink against the materializing pipeline. *)
+   The count-pushdown subsection times the ungrouped-aggregate sink and
+   checks each COUNT against the row count of the plain SELECT. *)
 let adaptive_bench_file = "bench_adaptive.json"
 
 let adaptive ctx =
@@ -2118,91 +1820,78 @@ let adaptive ctx =
   let overall =
     if !adaptive_total > 0. then !static_total /. !adaptive_total else 1.
   in
-  (* Streaming ungrouped-aggregate pushdown: COUNT without GROUP BY
-     through the terminal aggregate sink vs materialize-then-group. *)
+  (* Ungrouped-aggregate pushdown: COUNT without GROUP BY folds rows in
+     the terminal aggregate sink. The gate checks each streamed COUNT
+     against the row count of the same pattern run as a plain SELECT. *)
   Harness.subsection "ungrouped-aggregate pushdown (LUBM)";
   let store, stats = Lazy.force ctx.lubm in
   let prefixes =
     "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
   in
+  let takes = "{ ?x ub:takesCourse ?c }" in
   let count_queries =
     [
-      ( "count-takes",
-        "SELECT (COUNT(*) AS ?n) WHERE { ?x ub:takesCourse ?c }" );
-      ( "count-distinct",
-        "SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE { ?x ub:takesCourse ?c }" );
+      ("count-takes", "(COUNT(*) AS ?n)", "*", takes);
+      ("count-distinct", "(COUNT(DISTINCT ?c) AS ?n)", "DISTINCT ?c", takes);
       ( "count-optional",
-        "SELECT (COUNT(*) AS ?n) (COUNT(?e) AS ?ne) WHERE { ?x \
-         ub:takesCourse ?c OPTIONAL { ?x ub:emailAddress ?e } }" );
+        "(COUNT(*) AS ?n) (COUNT(?e) AS ?ne)",
+        "*",
+        "{ ?x ub:takesCourse ?c OPTIONAL { ?x ub:emailAddress ?e } }" );
     ]
   in
+  let run text =
+    Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Full ~stats store
+      (prefixes ^ text)
+  in
   let pushdown_jsons = ref [] in
-  let mat_total = ref 0. and stream_total = ref 0. in
   let pushdown_rows =
     List.map
-      (fun (id, body) ->
-        let text = prefixes ^ body in
-        (* Interleaved best-of-N for the same drift-cancelling reason as
-           the static/adaptive pairs above. *)
-        let time_once (best, last) ~streaming =
-          Gc.major ();
-          let report =
-            Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Full ~streaming
-              ~stats store text
-          in
-          last := Some report;
-          let ms =
-            report.Sparql_uo.Executor.transform_ms
-            +. report.Sparql_uo.Executor.exec_ms
-          in
-          if ms < !best then best := ms
-        in
-        let m_cell = (ref infinity, ref None)
-        and s_cell = (ref infinity, ref None) in
+      (fun (id, aggregates, selection, pattern) ->
+        let count_text = Printf.sprintf "SELECT %s WHERE %s" aggregates pattern in
+        let best = ref infinity and last = ref None in
         for _ = 1 to max 2 ctx.config.Harness.repetitions do
-          time_once m_cell ~streaming:false;
-          time_once s_cell ~streaming:true
+          Gc.major ();
+          let report = run count_text in
+          last := Some report;
+          best :=
+            Float.min !best
+              (report.Sparql_uo.Executor.transform_ms
+              +. report.Sparql_uo.Executor.exec_ms)
         done;
-        let finish (best, last) = (!best, Option.get !last) in
-        let mat_ms, mat_report = finish m_cell in
-        let stream_ms, stream_report = finish s_cell in
-        let equal =
-          match
-            ( mat_report.Sparql_uo.Executor.bag,
-              stream_report.Sparql_uo.Executor.bag )
-          with
-          | Some b1, Some b2 -> Sparql.Bag.equal_as_bags b1 b2
-          | _ -> false
+        let count =
+          match Sparql_uo.Executor.solutions store (Option.get !last) with
+          | [ solution ] -> (
+              match List.assoc_opt "n" solution with
+              | Some (Rdf.Term.Literal { value; _ }) -> int_of_string_opt value
+              | _ -> None)
+          | _ -> None
         in
+        let rows =
+          (run (Printf.sprintf "SELECT %s WHERE %s" selection pattern))
+            .Sparql_uo.Executor.result_count
+        in
+        let equal = count <> None && count = rows in
         if not equal then counts_ok := false;
-        mat_total := !mat_total +. mat_ms;
-        stream_total := !stream_total +. stream_ms;
+        let show = function Some n -> string_of_int n | None -> "null" in
         pushdown_jsons :=
           Printf.sprintf
-            "    {\"id\": %S, \"materialized_ms\": %.3f, \"streaming_ms\": \
-             %.3f, \"speedup\": %.3f, \"equal\": %b}"
-            id mat_ms stream_ms (mat_ms /. stream_ms) equal
+            "    {\"id\": %S, \"streaming_ms\": %.3f, \"count\": %s, \
+             \"select_rows\": %s, \"equal\": %b}"
+            id !best (show count) (show rows) equal
           :: !pushdown_jsons;
         [
           id;
-          Printf.sprintf "%.1f" mat_ms;
-          Printf.sprintf "%.1f" stream_ms;
-          Printf.sprintf "%.2fx" (mat_ms /. stream_ms);
+          Printf.sprintf "%.1f" !best;
+          show count;
+          show rows;
           (if equal then "yes" else "NO");
         ])
       count_queries
   in
   Harness.print_table
-    ~header:
-      [ "Query"; "materialized (ms)"; "streaming (ms)"; "speedup"; "equal" ]
+    ~header:[ "Query"; "streaming (ms)"; "COUNT"; "SELECT rows"; "equal" ]
     ~rows:pushdown_rows;
-  let pushdown_overall =
-    if !stream_total > 0. then !mat_total /. !stream_total else 1.
-  in
-  Printf.printf
-    "\noverall adaptive speedup: %.2fx; count-pushdown speedup: %.2fx; \
-     counts %s\n"
-    overall pushdown_overall
+  Printf.printf "\noverall adaptive speedup: %.2fx; counts %s\n" overall
     (if !counts_ok then "equal" else "DIVERGED");
   let oc = open_out adaptive_bench_file in
   Printf.fprintf oc
@@ -2212,7 +1901,6 @@ let adaptive ctx =
     \  \"engine\": \"wco\",\n\
     \  \"domains\": 1,\n\
     \  \"overall_speedup\": %.4f,\n\
-    \  \"pushdown_speedup\": %.4f,\n\
     \  \"counts_ok\": %b,\n\
     \  \"queries\": [\n\
      %s\n\
@@ -2221,7 +1909,7 @@ let adaptive ctx =
      %s\n\
     \  ]\n\
      }\n"
-    overall pushdown_overall !counts_ok
+    overall !counts_ok
     (String.concat ",\n" (List.rev !query_jsons))
     (String.concat ",\n" (List.rev !pushdown_jsons));
   close_out oc;
@@ -2258,9 +1946,7 @@ let run_sections quick only domains =
     | "ablation" -> ablation ctx
     | "micro" -> micro ctx
     | "parallel" -> parallel ctx ~domains
-    | "streaming" -> streaming ctx ~domains
     | "plan_cache" -> plan_cache ctx
-    | "intersection" -> intersection ctx
     | "robustness" -> robustness ctx
     | "serving" -> serving ctx ~domains
     | "durability" -> durability ctx

@@ -93,14 +93,6 @@ let morsel_arg =
     & opt int Engine.Pool.default_morsel_size
     & info [ "morsel-size" ] ~docv:"N" ~doc)
 
-let materialize_arg =
-  let doc =
-    "Disable the streaming sink pipeline: materialize the full result, \
-     then apply ORDER BY/DISTINCT/LIMIT/OFFSET bag-at-a-time (the \
-     historical pipeline; results are equal as bags)."
-  in
-  Arg.(value & flag & info [ "materialize" ] ~doc)
-
 let static_arg =
   let doc =
     "Disable the adaptive execution layer (sideways bitset prefilters into \
@@ -369,15 +361,14 @@ let generate_cmd =
 
 (* Run [text] [repeat] times through one session; returns the last report
    and prints a first-vs-amortized summary when repeating. *)
-let session_runs session ~mode ~engine ~domains ~materialize ~adaptive
-    ?timeout_ms ?row_budget ?partial ~repeat text =
+let session_runs session ~mode ~engine ~domains ~adaptive ?timeout_ms
+    ?row_budget ?partial ~repeat text =
   if repeat < 1 then or_die (Error "--repeat must be at least 1");
   let run_once () =
     let t0 = Unix.gettimeofday () in
     let report =
-      Sparql_uo.Session.run ~mode ~engine ~domains
-        ~streaming:(not materialize) ~adaptive ?timeout_ms ?row_budget ?partial
-        session text
+      Sparql_uo.Session.run ~mode ~engine ~domains ~adaptive ?timeout_ms
+        ?row_budget ?partial session text
     in
     ((Unix.gettimeofday () -. t0) *. 1000., report)
   in
@@ -412,7 +403,7 @@ let setup_build ~compression ~domains =
 
 let query_cmd =
   let run data synth data_dir sync qfile qtext mode engine max_print timeout_ms
-      row_budget domains morsel materialize static partial repeat compression =
+      row_budget domains morsel static partial repeat compression =
     Engine.Pool.set_morsel_size morsel;
     setup_build ~compression ~domains;
     let text = or_die (load_query qfile qtext) in
@@ -423,8 +414,8 @@ let query_cmd =
     in
     let store = Sparql_uo.Session.store session in
     let report =
-      session_runs session ~mode ~engine ~domains ~materialize
-        ~adaptive:(not static) ?timeout_ms ?row_budget ~partial ~repeat text
+      session_runs session ~mode ~engine ~domains ~adaptive:(not static)
+        ?timeout_ms ?row_budget ~partial ~repeat text
     in
     match report.Sparql_uo.Executor.query.Sparql.Ast.form with
     | Sparql.Ast.Select _ -> print_solutions store report max_print
@@ -446,8 +437,8 @@ let query_cmd =
     Term.(
       const run $ data_arg $ synth_arg $ data_dir_arg $ sync_arg
       $ query_file_arg $ query_text_arg $ mode_arg $ engine_arg $ max_print_arg
-      $ timeout_arg $ budget_arg $ domains_arg $ morsel_arg $ materialize_arg
-      $ static_arg $ partial_arg $ repeat_arg $ compression_arg)
+      $ timeout_arg $ budget_arg $ domains_arg $ morsel_arg $ static_arg
+      $ partial_arg $ repeat_arg $ compression_arg)
 
 (* ---------------- explain ---------------- *)
 
@@ -457,8 +448,8 @@ let explain_cmd =
     let text = or_die (load_query qfile qtext) in
     let session = Sparql_uo.Session.create store in
     let report =
-      session_runs session ~mode ~engine ~domains:1 ~materialize:false
-        ~adaptive:(not static) ~repeat text
+      session_runs session ~mode ~engine ~domains:1 ~adaptive:(not static)
+        ~repeat text
     in
     print_string (Sparql_uo.Executor.explain report)
   in
@@ -476,7 +467,7 @@ let explain_cmd =
 
 let modes_cmd =
   let run data synth qfile qtext engine timeout_ms row_budget domains morsel
-      materialize static compression =
+      static compression =
     Engine.Pool.set_morsel_size morsel;
     setup_build ~compression ~domains;
     let store = or_die (load_store data synth) in
@@ -489,9 +480,8 @@ let modes_cmd =
     List.iter
       (fun mode ->
         let report =
-          Sparql_uo.Session.run ~mode ~engine ~domains
-            ~streaming:(not materialize) ~adaptive:(not static) ?timeout_ms
-            ?row_budget session text
+          Sparql_uo.Session.run ~mode ~engine ~domains ~adaptive:(not static)
+            ?timeout_ms ?row_budget session text
         in
         Printf.printf "%-6s %-10s %-12.2f %-12.2f\n"
           (Sparql_uo.Executor.mode_name mode)
@@ -511,7 +501,7 @@ let modes_cmd =
     Term.(
       const run $ data_arg $ synth_arg $ query_file_arg $ query_text_arg
       $ engine_arg $ timeout_arg $ budget_arg $ domains_arg $ morsel_arg
-      $ materialize_arg $ static_arg $ compression_arg)
+      $ static_arg $ compression_arg)
 
 (* ---------------- update ---------------- *)
 

@@ -235,23 +235,22 @@ let note_bgp st patterns ~admitted ~forced ~engine ~pruned ~actual =
       }
   end
 
-let eval_bgp st patterns ~cands ~forced =
-  let width = Engine.Bgp_eval.width st.env in
-  match patterns with
-  | [] -> (Sparql.Bag.unit ~width, 1.)
-  | _ ->
-      let admitted = admit_candidates st cands ~forced patterns in
-      Atomic.incr st.bgp_evals;
-      let pruned = not (Engine.Candidates.is_empty admitted) in
-      if pruned then Atomic.incr st.pruned_bgps;
-      let engine = choose_engine st patterns ~pruned in
-      let bag =
-        Engine.Bgp_eval.eval_with st.env ~engine patterns ~candidates:admitted
-      in
-      observe st bag;
-      let actual = Sparql.Bag.length bag in
-      note_bgp st patterns ~admitted ~forced ~engine ~pruned ~actual;
-      (bag, float_of_int actual)
+(* A BGP's solutions into [sink], through a counting stage: the count is
+   the BGP's cardinality for the join space and the feedback cache. An
+   early [Stop] unwinds past the bookkeeping, so only complete counts are
+   recorded. *)
+let bgp_into st patterns ~cands ~forced ~sink =
+  let admitted = admit_candidates st cands ~forced patterns in
+  Atomic.incr st.bgp_evals;
+  let pruned = not (Engine.Candidates.is_empty admitted) in
+  if pruned then Atomic.incr st.pruned_bgps;
+  let engine = choose_engine st patterns ~pruned in
+  let counted, stage = Sparql.Sink.counted ~name:"bgp" sink in
+  Engine.Bgp_eval.eval_into_with st.env ~engine patterns ~candidates:admitted
+    ~sink:counted;
+  let actual = stage.Sparql.Sink.rows_in in
+  note_bgp st patterns ~admitted ~forced ~engine ~pruned ~actual;
+  float_of_int actual
 
 (* Parallel-UNION safety check: materializing a VALUES block interns its
    constants in the store dictionary — the one write to shared store state
@@ -303,9 +302,23 @@ let rec filter_lookup st row v =
         Some (Rdf_store.Snapshot.decode_term store row.(col))
       else None
 
+let make_state env ~threshold ~adaptive ~feedback =
+  { env; threshold; adaptive; feedback; peak_rows = Atomic.make 0;
+    bgp_evals = Atomic.make 0; pruned_bgps = Atomic.make 0;
+    replans = Atomic.make 0; nodes = ref []; nodes_mutex = Mutex.create () }
+
+(* A materialized intermediate: what [produce] emits, collected into a
+   fresh bag. Returns the bag and [produce]'s join-space factor. *)
+let collect st produce =
+  let bag = Sparql.Bag.create ~width:(Engine.Bgp_eval.width st.env) in
+  let js = produce ~sink:(Sparql.Bag.sink bag) in
+  observe st bag;
+  (bag, js)
+
 (* EXISTS { P }: substitute the row's bindings into P and test whether the
-   parameterized pattern has any solution (evaluated through the
-   Definition 7 semantics directly — EXISTS groups are small). *)
+   parameterized pattern has any solution. The pattern streams into a sink
+   that stops at its first row, so a pattern with many matches costs one
+   emitted row, not its whole result. *)
 let rec exists_check st row group =
   let lookup = filter_lookup st row in
   let substituted = Sparql.Ast.substitute_group group ~lookup in
@@ -316,31 +329,31 @@ let rec exists_check st row group =
       (Engine.Bgp_eval.store st.env)
       vartable (Engine.Bgp_eval.engine st.env)
   in
-  let tree = Be_tree.of_ast substituted in
   let sub_state =
-    { env; threshold = No_pruning; adaptive = false; feedback = None;
-      peak_rows = Atomic.make 0; bgp_evals = Atomic.make 0;
-      pruned_bgps = Atomic.make 0; replans = Atomic.make 0;
-      nodes = ref []; nodes_mutex = Mutex.create () }
+    make_state env ~threshold:No_pruning ~adaptive:false ~feedback:None
   in
-  let bag, _ =
-    eval_group sub_state tree ~cands:Engine.Candidates.empty ~forced:[]
+  let first_row =
+    Sparql.Sink.terminal ~name:"exists" (fun _ -> raise Sparql.Sink.Stop)
   in
-  not (Sparql.Bag.is_empty bag)
+  match
+    eval_group_into sub_state (Be_tree.of_ast substituted)
+      ~cands:Engine.Candidates.empty ~forced:[] ~sink:first_row
+  with
+  | _ -> false
+  | exception Sparql.Sink.Stop -> true
 
-(* Materialize a VALUES block as a bag; constants are interned in the
+(* A VALUES block's rows into [sink]; constants are interned in the
    dictionary (harmless to results: they occur in no triple, so they
    simply become ids that join with nothing unless present in the data).
    The dictionary is internally synchronized and ids are append-only, so
    interning under concurrent readers is safe and invalidates nothing —
    only cached plans that compiled a constant to [Missing] re-validate
    against the dictionary size (see {!Session}). *)
-and values_bag st (block : Sparql.Ast.values_block) =
+and values_into st (block : Sparql.Ast.values_block) ~sink =
   let table = Engine.Bgp_eval.vartable st.env in
   let store = Engine.Bgp_eval.store st.env in
   let width = Engine.Bgp_eval.width st.env in
   let cols = List.map (Sparql.Vartable.id table) block.Sparql.Ast.vars in
-  let bag = Sparql.Bag.create ~width in
   List.iter
     (fun row ->
       let fresh = Sparql.Binding.create ~width in
@@ -351,9 +364,9 @@ and values_bag st (block : Sparql.Ast.values_block) =
               fresh.(col) <- Rdf_store.Snapshot.intern_term store term
           | None -> ())
         cols row;
-      Sparql.Bag.push bag fresh)
+      Sparql.Bag.emit_accounted sink fresh)
     block.Sparql.Ast.rows;
-  bag
+  float_of_int (List.length block.Sparql.Ast.rows)
 
 (* UNION branches are independent by construction, so when the env carries
    a domain pool they evaluate concurrently, one branch per morsel.
@@ -362,6 +375,7 @@ and values_bag st (block : Sparql.Ast.values_block) =
    probe-side fan-out) seeds its own job into the shared scheduler, so
    idle domains help with inner morsels instead of sitting out. *)
 and eval_union_branches st branches ~cands ~forced =
+  let branch g = collect st (eval_group_into st g ~cands ~forced) in
   match Engine.Bgp_eval.pool st.env with
   | Some pool
     when List.length branches > 1
@@ -369,8 +383,8 @@ and eval_union_branches st branches ~cands ~forced =
       let arr = Array.of_list branches in
       Array.to_list
         (Engine.Pool.parallel_map pool ~morsel:1 ~lo:0 ~hi:(Array.length arr)
-           (fun i -> eval_group st arr.(i) ~cands ~forced))
-  | _ -> List.map (fun branch -> eval_group st branch ~cands ~forced) branches
+           (fun i -> branch arr.(i)))
+  | _ -> List.map branch branches
 
 (* The sideways columns forced into an OPTIONAL/MINUS subtree: every
    column of the (already soundness-restricted) candidate map. The
@@ -381,13 +395,14 @@ and forced_for st pass_down ~forced ~left_universal =
   if st.adaptive then Engine.Candidates.columns pass_down
   else List.filter (fun c -> List.mem c left_universal) forced
 
-(* One child of Algorithm 1's fold: combine [node]'s solutions into the
-   running result [r] (with [js] the join-space product so far). With
-   adaptive execution, an empty running result short-circuits the rest of
-   the level: every combination form (join, OPTIONAL, MINUS, UNION-join)
-   over an empty left side is empty, so the remaining children are
-   skipped — the degenerate but common mid-query re-plan. *)
-and eval_child st ~cands ~forced (r, js) node : Sparql.Bag.t option * float =
+(* One child of Algorithm 1's fold: combine [node]'s solutions with the
+   running result [r] ([None] before the first child) and emit the
+   combination into [sink]. Returns the node's factor of the join space.
+   With adaptive execution, an empty running result short-circuits the
+   node: every combination form (join, OPTIONAL, MINUS, UNION-join) over
+   an empty left side is empty — the degenerate but common mid-query
+   re-plan. *)
+and combine_into st ~cands ~forced r node ~sink =
   match r with
   | Some bag when st.adaptive && Sparql.Bag.is_empty bag ->
       record_node st
@@ -398,56 +413,51 @@ and eval_child st ~cands ~forced (r, js) node : Sparql.Bag.t option * float =
           actual_rows = 0;
           replanned = false;
         };
-      (r, js)
+      1.
   | _ -> (
       let width = Engine.Bgp_eval.width st.env in
-      let current () = Option.value r ~default:(Sparql.Bag.unit ~width) in
       let pass_down = candidates_from st cands r node in
+      (* [node]'s own solutions, as [produce] emits them, joined with [r]. *)
+      let join_with produce =
+        match r with
+        | None -> produce ~sink
+        | Some r0 ->
+            let bag, js = collect st produce in
+            Sparql.Bag.join_into r0 bag ~sink;
+            js
+      in
       match node with
+      | Be_tree.Bgp [] ->
+          (match r with
+          | None -> Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width)
+          | Some r0 -> Sparql.Bag.replay r0 ~sink);
+          1.
       | Be_tree.Bgp patterns ->
-          let bag, bgp_js = eval_bgp st patterns ~cands:pass_down ~forced in
-          let joined =
-            match r with None -> bag | Some r0 -> Sparql.Bag.join r0 bag
-          in
-          observe st joined;
-          (Some joined, js *. bgp_js)
+          join_with (bgp_into st patterns ~cands:pass_down ~forced)
       | Be_tree.Group inner ->
-          let bag, inner_js = eval_group st inner ~cands:pass_down ~forced in
-          let joined =
-            match r with None -> bag | Some r0 -> Sparql.Bag.join r0 bag
-          in
-          observe st joined;
-          (Some joined, js *. inner_js)
+          join_with (eval_group_into st inner ~cands:pass_down ~forced)
+      | Be_tree.Values block -> join_with (values_into st block)
       | Be_tree.Union branches ->
-          let u = ref (Sparql.Bag.create ~width) in
-          let union_js = ref 0. in
-          List.iter
-            (fun (bag, branch_js) ->
-              union_js := !union_js +. branch_js;
-              u := Sparql.Bag.union !u bag)
-            (eval_union_branches st branches ~cands:pass_down ~forced);
-          observe st !u;
+          let results =
+            eval_union_branches st branches ~cands:pass_down ~forced
+          in
           record_node st
             {
               label = node_label node;
               engine = "-";
               est_rows = Cost_model.node_card ?feedback:st.feedback st.env node;
-              actual_rows = Sparql.Bag.length !u;
+              actual_rows =
+                List.fold_left
+                  (fun acc (bag, _) -> acc + Sparql.Bag.length bag)
+                  0 results;
               replanned = false;
             };
-          let joined =
-            match r with None -> !u | Some r0 -> Sparql.Bag.join r0 !u
-          in
-          observe st joined;
-          (Some joined, js *. !union_js)
-      | Be_tree.Values block ->
-          let bag = values_bag st block in
-          let vjs = float_of_int (Sparql.Bag.length bag) in
-          let joined =
-            match r with None -> bag | Some r0 -> Sparql.Bag.join r0 bag
-          in
-          observe st joined;
-          (Some joined, js *. vjs)
+          join_with (fun ~sink ->
+              List.fold_left
+                (fun acc (bag, branch_js) ->
+                  Sparql.Bag.replay bag ~sink;
+                  acc +. branch_js)
+                0. results)
       | Be_tree.Optional inner | Be_tree.Minus inner ->
           (* Soundness: only columns universally bound by the left side
              (the current result) may prune the right side — pruning any
@@ -463,7 +473,9 @@ and eval_child st ~cands ~forced (r, js) node : Sparql.Bag.t option * float =
             Engine.Candidates.restrict pass_down ~cols:left_universal
           in
           let forced = forced_for st pass_down ~forced ~left_universal in
-          let bag, inner_js = eval_group st inner ~cands:pass_down ~forced in
+          let bag, inner_js =
+            collect st (eval_group_into st inner ~cands:pass_down ~forced)
+          in
           let left_card =
             match r with
             | None -> 1.
@@ -479,47 +491,20 @@ and eval_child st ~cands ~forced (r, js) node : Sparql.Bag.t option * float =
               actual_rows = Sparql.Bag.length bag;
               replanned = false;
             };
-          let combined =
-            match node with
-            | Be_tree.Optional _ -> Sparql.Bag.left_outer_join (current ()) bag
-            | _ -> Sparql.Bag.sparql_minus (current ()) bag
-          in
-          observe st combined;
-          (Some combined, js *. Float.max inner_js 1.))
+          let left = Option.value r ~default:(Sparql.Bag.unit ~width) in
+          (match node with
+          | Be_tree.Optional _ -> Sparql.Bag.left_outer_join_into left bag ~sink
+          | _ -> Sparql.Bag.sparql_minus_into left bag ~sink);
+          Float.max inner_js 1.)
 
 (* Algorithm 1, with candidate pruning (the [cands] argument is the paper's
-   third argument to BGPBasedEvaluation). Returns the bag and the node's
-   contribution to the join space. *)
-and eval_group st (g : Be_tree.group) ~cands ~forced : Sparql.Bag.t * float =
-  let width = Engine.Bgp_eval.width st.env in
-  let r, js =
-    List.fold_left (eval_child st ~cands ~forced) (None, 1.) g.children
-  in
-  let result = Option.value r ~default:(Sparql.Bag.unit ~width) in
-  let result =
-    List.fold_left
-      (fun bag e ->
-        Sparql.Bag.filter bag ~f:(fun row ->
-            Sparql.Expr.eval
-              ~lookup:(filter_lookup st row)
-              ~exists:(exists_check st row)
-              e))
-      result g.filters
-  in
-  observe st result;
-  (result, js)
-
-(* [eval_group_into] is [eval_group] with the last combination streamed:
-   all children but the last evaluate and combine materialized exactly as
-   above; the final combination emits rows into [sink] (through the
-   group's FILTERs as sink stages), so a downstream LIMIT unwinds the
-   whole pipeline via [Sink.Stop]. Streamed rows are never observed as a
-   materialized bag, so [peak_rows] excludes the final operator's output;
-   the BGP cardinality feeding [join_space] is recovered from a counting
-   stage (equal to the materialized length when the pipeline runs to
-   completion, partial under an early Stop). *)
+   third argument to BGPBasedEvaluation): every child but the last
+   combines into a materialized running result, and the last combines
+   straight into [sink], through the group's FILTERs as sink stages — so a
+   downstream LIMIT unwinds the whole pipeline via [Sink.Stop]. Rows
+   streamed into [sink] are never observed as a bag, so [peak_rows]
+   excludes them. Returns the group's contribution to the join space. *)
 and eval_group_into st (g : Be_tree.group) ~cands ~forced ~sink : float =
-  let width = Engine.Bgp_eval.width st.env in
   let sink =
     List.fold_left
       (fun sink e ->
@@ -534,139 +519,20 @@ and eval_group_into st (g : Be_tree.group) ~cands ~forced ~sink : float =
   in
   match List.rev g.children with
   | [] ->
-      Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width);
+      Sparql.Bag.emit_accounted sink
+        (Sparql.Binding.create ~width:(Engine.Bgp_eval.width st.env));
       1.
   | last :: rev_prefix ->
       let r, js =
         List.fold_left
-          (eval_child st ~cands ~forced)
+          (fun (r, js) node ->
+            let bag, node_js =
+              collect st (combine_into st ~cands ~forced r node)
+            in
+            (Some bag, js *. node_js))
           (None, 1.) (List.rev rev_prefix)
       in
-      let current () = Option.value r ~default:(Sparql.Bag.unit ~width) in
-      let pass_down = candidates_from st cands r last in
-      (match r with
-      | Some bag when st.adaptive && Sparql.Bag.is_empty bag ->
-          (* Same short-circuit as [eval_child]: every combination form
-             over an empty left side emits nothing. *)
-          record_node st
-            {
-              label = node_label last;
-              engine = "skip";
-              est_rows = Cost_model.node_card ?feedback:st.feedback st.env last;
-              actual_rows = 0;
-              replanned = false;
-            };
-          js
-      | _ -> (
-          match last with
-          | Be_tree.Bgp [] -> (
-              match r with
-              | None ->
-                  Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width);
-                  js
-              | Some r0 ->
-                  Sparql.Bag.replay r0 ~sink;
-                  js)
-          | Be_tree.Bgp patterns -> (
-              match r with
-              | None ->
-                  let admitted =
-                    admit_candidates st pass_down ~forced patterns
-                  in
-                  Atomic.incr st.bgp_evals;
-                  let pruned = not (Engine.Candidates.is_empty admitted) in
-                  if pruned then Atomic.incr st.pruned_bgps;
-                  let engine = choose_engine st patterns ~pruned in
-                  let counted, stage = Sparql.Sink.counted ~name:"bgp" sink in
-                  Engine.Bgp_eval.eval_into_with st.env ~engine patterns
-                    ~candidates:admitted ~sink:counted;
-                  (* Only reached when the pipeline ran to completion (an
-                     early [Stop] unwinds past this point), so the count
-                     is the full cardinality and safe to feed back. *)
-                  note_bgp st patterns ~admitted ~forced ~engine ~pruned
-                    ~actual:stage.Sparql.Sink.rows_in;
-                  js *. float_of_int stage.Sparql.Sink.rows_in
-              | Some r0 ->
-                  let bag, bgp_js =
-                    eval_bgp st patterns ~cands:pass_down ~forced
-                  in
-                  Sparql.Bag.join_into r0 bag ~sink;
-                  js *. bgp_js)
-          | Be_tree.Group inner -> (
-              match r with
-              | None -> js *. eval_group_into st inner ~cands:pass_down ~forced ~sink
-              | Some r0 ->
-                  let bag, inner_js =
-                    eval_group st inner ~cands:pass_down ~forced
-                  in
-                  Sparql.Bag.join_into r0 bag ~sink;
-                  js *. inner_js)
-          | Be_tree.Union branches ->
-              let results =
-                eval_union_branches st branches ~cands:pass_down ~forced
-              in
-              let union_js =
-                List.fold_left (fun acc (_, bjs) -> acc +. bjs) 0. results
-              in
-              (match r with
-              | None ->
-                  List.iter
-                    (fun (bag, _) -> Sparql.Bag.replay bag ~sink)
-                    results
-              | Some r0 ->
-                  let u =
-                    List.fold_left
-                      (fun acc (bag, _) -> Sparql.Bag.union acc bag)
-                      (Sparql.Bag.create ~width) results
-                  in
-                  observe st u;
-                  Sparql.Bag.join_into r0 u ~sink);
-              js *. union_js
-          | Be_tree.Values block ->
-              let bag = values_bag st block in
-              let vjs = float_of_int (Sparql.Bag.length bag) in
-              (match r with
-              | None -> Sparql.Bag.replay bag ~sink
-              | Some r0 -> Sparql.Bag.join_into r0 bag ~sink);
-              js *. vjs
-          | Be_tree.Optional inner | Be_tree.Minus inner ->
-              let left_universal =
-                match r with
-                | None -> []
-                | Some bag -> Sparql.Bag.universal_columns bag
-              in
-              let pass_down =
-                Engine.Candidates.restrict pass_down ~cols:left_universal
-              in
-              let forced = forced_for st pass_down ~forced ~left_universal in
-              let bag, inner_js =
-                eval_group st inner ~cands:pass_down ~forced
-              in
-              let left_card =
-                match r with
-                | None -> 1.
-                | Some bag -> float_of_int (Sparql.Bag.length bag)
-              in
-              record_node st
-                {
-                  label = node_label last;
-                  engine = "-";
-                  est_rows =
-                    Cost_model.optional_card ?feedback:st.feedback st.env
-                      ~left_card inner;
-                  actual_rows = Sparql.Bag.length bag;
-                  replanned = false;
-                };
-              (match last with
-              | Be_tree.Optional _ ->
-                  Sparql.Bag.left_outer_join_into (current ()) bag ~sink
-              | _ -> Sparql.Bag.sparql_minus_into (current ()) bag ~sink);
-              js *. Float.max inner_js 1.))
-
-let make_state env ~threshold ~adaptive ~feedback =
-  { env; threshold; adaptive; feedback; peak_rows = Atomic.make 0;
-    bgp_evals = Atomic.make 0; pruned_bgps = Atomic.make 0;
-    replans = Atomic.make 0; nodes = ref []; nodes_mutex = Mutex.create () }
+      js *. combine_into st ~cands ~forced r last ~sink
 
 (* [total_rows] is the delta of the ambient governor ticket's produced-row
    counter across the evaluation (a snapshot, not a reset: the counter
@@ -686,26 +552,19 @@ let finish_stats st ~base_pushed ~join_space ~stages =
     prefilter = Engine.Candidates.read_counters ();
   }
 
-let eval ?(adaptive = false) ?feedback env ~threshold tree =
-  let st = make_state env ~threshold ~adaptive ~feedback in
-  let base_pushed = Sparql.Governor.pushed (Sparql.Governor.current ()) in
-  Engine.Intersect.reset ();
-  Engine.Candidates.reset_counters ();
-  let bag, join_space =
-    eval_group st tree ~cands:Engine.Candidates.empty ~forced:[]
-  in
-  (bag, finish_stats st ~base_pushed ~join_space ~stages:[])
-
 let eval_into ?(adaptive = false) ?feedback env ~threshold ~sink tree =
   let st = make_state env ~threshold ~adaptive ~feedback in
   let base_pushed = Sparql.Governor.pushed (Sparql.Governor.current ()) in
   Engine.Intersect.reset ();
   Engine.Candidates.reset_counters ();
-  let join_space = ref 1. in
-  (try
-     join_space :=
-       eval_group_into st tree ~cands:Engine.Candidates.empty ~forced:[] ~sink
-   with Sparql.Sink.Stop -> ());
+  let join_space =
+    try eval_group_into st tree ~cands:Engine.Candidates.empty ~forced:[] ~sink
+    with Sparql.Sink.Stop -> 1.
+  in
   Sparql.Sink.close sink;
-  finish_stats st ~base_pushed ~join_space:!join_space
-    ~stages:(Sparql.Sink.stages sink)
+  finish_stats st ~base_pushed ~join_space ~stages:(Sparql.Sink.stages sink)
+
+let eval ?adaptive ?feedback env ~threshold tree =
+  let bag = Sparql.Bag.create ~width:(Engine.Bgp_eval.width env) in
+  let sink = Sparql.Bag.sink bag in
+  (bag, eval_into ?adaptive ?feedback env ~threshold ~sink tree)

@@ -28,7 +28,13 @@
       the remaining children of its level.
 
     Each executed node's estimate, actual cardinality and engine are
-    reported in [stats.nodes] for [explain]. *)
+    reported in [stats.nodes] for [explain].
+
+    There is one traversal: each group's last child combines straight
+    into the caller's sink, and every other intermediate (the running
+    result of a group's earlier children, UNION branches, OPTIONAL/MINUS
+    right sides, the build side of a join) is the same traversal
+    collected into a bag. *)
 
 type threshold =
   | No_pruning
@@ -48,9 +54,11 @@ type node_report = {
 
 type stats = {
   join_space : float;
-      (** the JS metric of Section 7.1, computed from the materialized BGP
-          result sizes *)
-  peak_rows : int;  (** largest bag materialized during evaluation *)
+      (** the JS metric of Section 7.1, computed from the BGP result
+          sizes *)
+  peak_rows : int;
+      (** largest intermediate bag materialized during evaluation (rows
+          streamed into the caller's sink are not counted) *)
   total_rows : int;  (** total intermediate rows materialized *)
   bgp_evals : int;
   pruned_bgps : int;  (** BGP evaluations that had a candidate set applied *)
@@ -59,7 +67,7 @@ type stats = {
           (zero when the WCO engine took no vertex-at-a-time steps) *)
   stages : Sparql.Sink.stage list;
       (** per-stage rows-in/rows-out of the sink pipeline, in data-flow
-          order; empty for materializing {!eval} *)
+          order *)
   nodes : node_report list;
       (** executed BE-tree nodes in evaluation order (parallel UNION
           branches may interleave); empty unless adaptive *)
@@ -69,28 +77,17 @@ type stats = {
           (exact in serial runs, approximate under parallel domains) *)
 }
 
-(** [eval ?adaptive ?feedback env ~threshold tree] runs Algorithm 1 over
-    [tree]. [adaptive] (default false) enables the adaptive execution
-    layer described above; [feedback] is consulted for and updated with
-    observed BGP cardinalities when supplied. May raise
-    [Sparql.Governor.Kill] if the ambient governor ticket is governed
-    (budget, deadline, cancellation or a chaos fault). *)
-val eval :
-  ?adaptive:bool ->
-  ?feedback:Feedback.t ->
-  Engine.Bgp_eval.t ->
-  threshold:threshold ->
-  Be_tree.group ->
-  Sparql.Bag.t * stats
-
-(** [eval_into ?adaptive ?feedback env ~threshold ~sink tree] — streaming
-    Algorithm 1: the tree's final operator emits rows into [sink] instead
-    of materializing the result bag, so a LIMIT stage in [sink]
-    early-terminates evaluation ([Sink.Stop] is caught here and reported
-    as a normal completion). The sink is closed before returning.
-    [stats.peak_rows] excludes the final operator's streamed output;
-    [stats.join_space] is exact when the pipeline ran to completion and
-    partial under an early Stop. May raise [Sparql.Governor.Kill]. *)
+(** [eval_into ?adaptive ?feedback env ~threshold ~sink tree] runs
+    Algorithm 1 over [tree]: the tree's final operator emits rows into
+    [sink], so a LIMIT stage in [sink] early-terminates evaluation
+    ([Sink.Stop] is caught here and reported as a normal completion). The
+    sink is closed before returning. [adaptive] (default false) enables
+    the adaptive execution layer described above; [feedback] is consulted
+    for and updated with observed BGP cardinalities when supplied.
+    [stats.join_space] is exact when the pipeline ran to completion and 1
+    after an early Stop. May raise [Sparql.Governor.Kill] if the ambient
+    governor ticket is governed (budget, deadline, cancellation or a chaos
+    fault). *)
 val eval_into :
   ?adaptive:bool ->
   ?feedback:Feedback.t ->
@@ -99,3 +96,13 @@ val eval_into :
   sink:Sparql.Sink.t ->
   Be_tree.group ->
   stats
+
+(** [eval ?adaptive ?feedback env ~threshold tree] — {!eval_into}
+    collected into a bag. *)
+val eval :
+  ?adaptive:bool ->
+  ?feedback:Feedback.t ->
+  Engine.Bgp_eval.t ->
+  threshold:threshold ->
+  Be_tree.group ->
+  Sparql.Bag.t * stats

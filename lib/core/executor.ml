@@ -44,15 +44,15 @@ type report = Prepared.report = {
   cache : cache_info option;
 }
 
-let run_query ?mode ?engine ?domains ?streaming ?adaptive ?feedback ?row_budget
+let run_query ?mode ?engine ?domains ?adaptive ?feedback ?row_budget
     ?timeout_ms ?partial ?governor ?stats store (query : Sparql.Ast.query) =
   let prepared = Prepared.prepare ?mode ?engine ?stats store query in
-  Prepared.execute ?domains ?streaming ?adaptive ?feedback ?row_budget
-    ?timeout_ms ?partial ?governor prepared
+  Prepared.execute ?domains ?adaptive ?feedback ?row_budget ?timeout_ms
+    ?partial ?governor prepared
 
-let run ?mode ?engine ?domains ?streaming ?adaptive ?feedback ?row_budget
-    ?timeout_ms ?partial ?governor ?stats store text =
-  run_query ?mode ?engine ?domains ?streaming ?adaptive ?feedback ?row_budget
+let run ?mode ?engine ?domains ?adaptive ?feedback ?row_budget ?timeout_ms
+    ?partial ?governor ?stats store text =
+  run_query ?mode ?engine ?domains ?adaptive ?feedback ?row_budget
     ?timeout_ms ?partial ?governor ?stats store (Sparql.Parser.parse text)
 
 let solutions store report =

@@ -65,19 +65,17 @@ type report = Prepared.report = {
       (** [None] for one-shot runs that bypassed a session plan cache *)
 }
 
-(** [run ?mode ?engine ?domains ?streaming ?row_budget ?timeout_ms ?stats
-    store text] parses and executes [text]. [domains] (default 1) is the
+(** [run ?mode ?engine ?domains ?row_budget ?timeout_ms ?stats store
+    text] parses and executes [text]. [domains] (default 1) is the
     number of domains evaluation may use: [> 1] runs WCO extension steps,
     the probe side of hash joins and independent UNION branches on the
     process-global domain pool (results are equal to the serial run as
-    bags; row order may differ). [streaming] (default [true]) threads the
-    solution modifiers as a sink pipeline behind the evaluator's final
-    operator: LIMIT/OFFSET early-terminates evaluation, ORDER BY + LIMIT
-    runs as a bounded top-k heap, DISTINCT and projection stream row by
-    row; [~streaming:false] keeps the historical materialize-then-modify
-    pipeline (results are equal as bags either way). Aggregated queries
-    (GROUP BY / aggregates / HAVING) always materialize before their
-    modifiers stream. [row_budget] bounds total produced rows;
+    bags; row order may differ). The solution modifiers run as a sink
+    pipeline behind the evaluator's final operator: LIMIT/OFFSET
+    early-terminates evaluation, ORDER BY + LIMIT runs as a bounded top-k
+    heap, DISTINCT and projection stream row by row, and GROUP BY /
+    aggregates / HAVING fold rows into a hash-aggregate stage as they
+    arrive. [row_budget] bounds total produced rows;
     [timeout_ms] bounds wall-clock time; on either limit the report
     carries [bag = None] and a {!failure} — unless [~partial:true], where
     the rows materialized before the kill are returned with the report's
@@ -94,7 +92,6 @@ val run :
   ?mode:mode ->
   ?engine:Engine.Bgp_eval.engine ->
   ?domains:int ->
-  ?streaming:bool ->
   ?adaptive:bool ->
   ?feedback:Feedback.t ->
   ?row_budget:int ->
@@ -111,7 +108,6 @@ val run_query :
   ?mode:mode ->
   ?engine:Engine.Bgp_eval.engine ->
   ?domains:int ->
-  ?streaming:bool ->
   ?adaptive:bool ->
   ?feedback:Feedback.t ->
   ?row_budget:int ->

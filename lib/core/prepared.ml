@@ -99,11 +99,9 @@ let number_term f =
   else Rdf.Term.typed_literal (string_of_float f) ~datatype:Rdf.Term.xsd_double
 
 (* One aggregate over a group, computed from the bound target-column ids
-   ([ids], in the same fold order the grouping pass produces: reverse
-   arrival) and the group's total row count; [None] = unbound result
-   (e.g. SUM over non-numeric values, or MIN of an empty group). Shared
-   by the materialized grouping pass and the streaming ungrouped sink, so
-   the two paths agree bit-for-bit (float summation order included). *)
+   ([ids], in reverse arrival order — the fold order, float summation
+   included) and the group's total row count; [None] = unbound result
+   (e.g. SUM over non-numeric values, or MIN of an empty group). *)
 let compute_aggregate_ids store ~agg ~distinct ~target ~row_count ids =
   let maybe_distinct ids =
     if distinct then List.sort_uniq Int.compare ids else ids
@@ -158,69 +156,6 @@ let compute_aggregate_ids store ~agg ~distinct ~target ~row_count ids =
 let target_col vartable target =
   Option.bind target (Sparql.Vartable.find vartable)
 
-let compute_aggregate store vartable rows ~agg ~distinct ~target =
-  let ids =
-    match target_col vartable target with
-    | None -> []
-    | Some col ->
-        List.filter_map
-          (fun row ->
-            if Sparql.Binding.is_bound row col then Some row.(col) else None)
-          rows
-  in
-  compute_aggregate_ids store ~agg ~distinct ~target
-    ~row_count:(List.length rows) ids
-
-(* Partition [bag] by the GROUP BY columns and emit one row per group:
-   the keys plus one column per aggregate alias. *)
-let aggregate_bag store vartable (query : Sparql.Ast.query) items bag =
-  let width = Sparql.Bag.width bag in
-  let key_cols =
-    List.filter_map (Sparql.Vartable.find vartable) query.Sparql.Ast.group_by
-  in
-  let groups = Hashtbl.create 64 in
-  let order = ref [] in
-  Sparql.Bag.iter bag ~f:(fun row ->
-      let key = List.map (fun col -> row.(col)) key_cols in
-      match Hashtbl.find_opt groups key with
-      | Some rows -> rows := row :: !rows
-      | None ->
-          Hashtbl.add groups key (ref [ row ]);
-          order := key :: !order);
-  (* A grouped query with no matching rows yields no groups — except the
-     no-key case, where aggregates over the empty bag still produce one
-     row (e.g. a COUNT over nothing is 0). *)
-  let keys =
-    match (List.rev !order, key_cols) with
-    | [], [] ->
-        Hashtbl.add groups [] (ref []);
-        [ [] ]
-    | keys, _ -> keys
-  in
-  let dict = Rdf_store.Snapshot.dictionary store in
-  let result = Sparql.Bag.create ~width in
-  List.iter
-    (fun key ->
-      let rows = !(Hashtbl.find groups key) in
-      let fresh = Sparql.Binding.create ~width in
-      List.iter2 (fun col v -> fresh.(col) <- v) key_cols key;
-      List.iter
-        (fun item ->
-          match item with
-          | Sparql.Ast.Svar _ -> ()
-          | Sparql.Ast.Aggregate { agg; distinct; target; alias } -> (
-              match compute_aggregate store vartable rows ~agg ~distinct ~target with
-              | Some term -> (
-                  match Sparql.Vartable.find vartable alias with
-                  | Some col ->
-                      fresh.(col) <- Rdf_store.Dictionary.encode dict term
-                  | None -> ())
-              | None -> ()))
-        items;
-      Sparql.Bag.push result fresh)
-    keys;
-  result
-
 (* --- Solution modifiers (ORDER BY, projection, DISTINCT, LIMIT/OFFSET) -- *)
 
 let order_keys vartable (query : Sparql.Ast.query) =
@@ -254,40 +189,9 @@ let projection_cols vartable (query : Sparql.Ast.query) =
              Sparql.Vartable.find vartable v)
            items)
 
-(* The historical bag-at-a-time modifier pipeline, kept as the
-   [~streaming:false] reference: ORDER BY, projection, DISTINCT,
-   LIMIT/OFFSET — each over a fully materialized bag. *)
-let apply_modifiers_materialized store vartable (query : Sparql.Ast.query) bag =
-  let bag =
-    match order_keys vartable query with
-    | [] -> bag
-    | keys -> Sparql.Bag.sort bag ~keys ~compare_ids:(compare_ids store)
-  in
-  let bag =
-    match projection_cols vartable query with
-    | None -> bag
-    | Some cols -> Sparql.Bag.project bag ~cols
-  in
-  let bag = if query.distinct then Sparql.Bag.dedup bag else bag in
-  match (query.limit, query.offset) with
-  | None, None -> bag
-  | limit, offset ->
-      let offset = Option.value offset ~default:0 in
-      let keep =
-        match limit with
-        | Some n -> fun i -> i >= offset && i < offset + n
-        | None -> fun i -> i >= offset
-      in
-      let sliced = Sparql.Bag.create ~width:(Sparql.Bag.width bag) in
-      let i = ref 0 in
-      Sparql.Bag.iter bag ~f:(fun row ->
-          if keep !i then Sparql.Bag.push sliced row;
-          incr i);
-      sliced
-
-(* The same modifiers as a sink pipeline, built terminal-first so rows
-   flow sort -> project -> distinct -> offset/limit -> [out] (the
-   materializing order above). LIMIT without ORDER BY raises [Sink.Stop]
+(* The solution modifiers (ORDER BY, projection, DISTINCT, LIMIT/OFFSET)
+   as a sink pipeline, built terminal-first so rows flow sort -> project
+   -> distinct -> offset/limit -> [out]. LIMIT without ORDER BY raises [Sink.Stop]
    upstream as soon as it is satisfied; ORDER BY + LIMIT keeps only
    offset+limit rows in a bounded top-k heap — unless a DISTINCT sits
    between the sort and the slice, where dropping duplicates could promote
@@ -321,51 +225,75 @@ let modifier_sink store vartable (query : Sparql.Ast.query) ~width ~out =
             sink
       | _ -> Sparql.Sink.sort_all ~compare sink)
 
-(* The streaming ungrouped-aggregate sink: a SELECT COUNT / SUM / ...
-   without GROUP BY does not need the full result materialized — the
-   stage folds each streamed row into per-aggregate accumulators (a row
-   counter, plus one id list per targeted aggregate) and emits the single
-   aggregate row downstream at close. Accumulated ids are prepended, so
-   at flush they sit in reverse arrival order — exactly the fold order
-   [aggregate_bag] produces — and both paths share
-   [compute_aggregate_ids], making streaming ≡ materialized by
-   construction. *)
-let aggregate_sink store vartable ~width items inner =
-  let count = ref 0 in
-  let cells =
+(* GROUP BY as a streaming hash aggregate keyed on the GROUP BY columns
+   (the ungrouped case is the empty key). Each arriving row bumps its
+   group's row count and prepends its bound target ids to the group's
+   per-aggregate lists, so at close they sit in reverse arrival order —
+   the fold order of [compute_aggregate_ids]. At close the stage emits one
+   row per group, in first-arrival order: the key columns plus one column
+   per aggregate alias. Grouped input with no rows yields no groups; the
+   ungrouped case still yields one row (a COUNT over nothing is 0). *)
+let aggregate_sink store vartable (query : Sparql.Ast.query) ~width items
+    inner =
+  let key_cols =
+    List.filter_map (Sparql.Vartable.find vartable) query.Sparql.Ast.group_by
+  in
+  let aggs =
     List.filter_map
       (function
         | Sparql.Ast.Aggregate { agg; distinct; target; alias } ->
-            Some (agg, distinct, target, alias, target_col vartable target, ref [])
+            Some
+              ( agg,
+                distinct,
+                target,
+                target_col vartable target,
+                Sparql.Vartable.find vartable alias )
         | Sparql.Ast.Svar _ -> None)
       items
   in
+  let groups = Hashtbl.create 64 in
+  let order = ref [] in
+  let group key =
+    match Hashtbl.find_opt groups key with
+    | Some g -> g
+    | None ->
+        let g = (ref 0, List.map (fun _ -> ref []) aggs) in
+        Hashtbl.add groups key g;
+        order := key :: !order;
+        g
+  in
   let push row =
+    let count, ids = group (List.map (fun col -> row.(col)) key_cols) in
     incr count;
-    List.iter
-      (fun (_, _, _, _, col, ids) ->
+    List.iter2
+      (fun (_, _, _, col, _) ids ->
         match col with
         | Some col when Sparql.Binding.is_bound row col ->
             ids := row.(col) :: !ids
         | _ -> ())
-      cells
+      aggs ids
   in
   let dict = Rdf_store.Snapshot.dictionary store in
   let flush emit =
-    let fresh = Sparql.Binding.create ~width in
+    if key_cols = [] then ignore (group []);
     List.iter
-      (fun (agg, distinct, target, alias, _, ids) ->
-        match
-          compute_aggregate_ids store ~agg ~distinct ~target ~row_count:!count
-            !ids
-        with
-        | Some term -> (
-            match Sparql.Vartable.find vartable alias with
-            | Some col -> fresh.(col) <- Rdf_store.Dictionary.encode dict term
-            | None -> ())
-        | None -> ())
-      cells;
-    emit fresh
+      (fun key ->
+        let count, ids = Hashtbl.find groups key in
+        let fresh = Sparql.Binding.create ~width in
+        List.iter2 (fun col v -> fresh.(col) <- v) key_cols key;
+        List.iter2
+          (fun (agg, distinct, target, _, alias_col) ids ->
+            match
+              ( compute_aggregate_ids store ~agg ~distinct ~target
+                  ~row_count:!count !ids,
+                alias_col )
+            with
+            | Some term, Some col ->
+                fresh.(col) <- Rdf_store.Dictionary.encode dict term
+            | _ -> ())
+          aggs ids;
+        emit fresh)
+      (List.rev !order)
   in
   Sparql.Sink.aggregate ~name:"aggregate" ~push ~flush inner
 
@@ -458,9 +386,8 @@ let ticket ?row_budget ?timeout_ms ?faults () =
   in
   Sparql.Governor.create ?row_budget ?deadline ?faults ()
 
-let execute ?(domains = 1) ?(streaming = true) ?(adaptive = true) ?feedback
-    ?row_budget ?timeout_ms ?(partial = false) ?governor ?cache ?snapshot
-    ?stats p =
+let execute ?(domains = 1) ?(adaptive = true) ?feedback ?row_budget ?timeout_ms
+    ?(partial = false) ?governor ?cache ?snapshot ?stats p =
   let query = p.p_query in
   let vartable = p.p_vartable in
   let env = Engine.Bgp_eval.with_domains p.env ~domains in
@@ -506,102 +433,39 @@ let execute ?(domains = 1) ?(streaming = true) ?(adaptive = true) ?feedback
   if domains > 1 then Engine.Pool.enable_bag_runner ()
   else Engine.Pool.disable_bag_runner ();
   let width = Engine.Bgp_eval.width env in
-  (* Aggregation (GROUP BY / HAVING) needs the complete result before any
-     row can be emitted, so those queries evaluate materialized; their
-     solution modifiers still stream over the aggregated bag. *)
-  let needs_aggregate =
-    (match query.form with
-    | Sparql.Ast.Select (Sparql.Ast.Aggregated _) -> true
-    | _ -> false)
-    || query.Sparql.Ast.group_by <> []
-  in
-  (* The exception: an ungrouped, HAVING-free aggregate over pure
-     aggregate items needs only per-aggregate accumulators, not the
-     result — it streams through [aggregate_sink]. *)
-  let streamable_aggregate =
-    match query.form with
-    | Sparql.Ast.Select (Sparql.Ast.Aggregated items)
-      when query.Sparql.Ast.group_by = []
-           && query.Sparql.Ast.having = None
-           && List.for_all
-                (function
-                  | Sparql.Ast.Aggregate _ -> true
-                  | Sparql.Ast.Svar _ -> false)
-                items ->
-        Some items
-    | _ -> None
-  in
-  (* The terminal bag of a streaming pipeline, captured so a killed run
-     can surface the rows that fully traversed the modifier pipeline
-     before the limit fired (exact prefix semantics for LIMIT-style
-     pipelines; rows buffered inside a sort/top-k stage are lost, so
-     best-effort there). Materialized-path runs have nothing safe to
-     surface: the kill unwound mid-operator. *)
-  let partial_out = ref None in
+  (* The terminal bag, kept so a killed run can surface the rows that
+     fully traversed the pipeline before the limit fired (exact prefix
+     semantics for LIMIT-style pipelines; rows buffered inside a sort,
+     top-k or aggregate stage are lost, so best-effort there). *)
+  let out = Sparql.Bag.create ~width in
+  (* Built terminal-first: rows flow aggregate -> HAVING -> modifiers. *)
   let evaluate () =
-    if streaming && (not needs_aggregate) && query.Sparql.Ast.having = None
-    then begin
-      let out = Sparql.Bag.create ~width in
-      partial_out := Some out;
-      let sink = modifier_sink store vartable query ~width ~out in
-      let stats =
-        Evaluator.eval_into ~adaptive ?feedback env ~threshold ~sink
-          p.p_tree_after
-      in
-      (out, stats)
-    end
-    else
-      match streamable_aggregate with
-      | Some items when streaming ->
-          let out = Sparql.Bag.create ~width in
-          partial_out := Some out;
-          let sink = modifier_sink store vartable query ~width ~out in
-          let sink = aggregate_sink store vartable ~width items sink in
-          let stats =
-            Evaluator.eval_into ~adaptive ?feedback env ~threshold ~sink
-              p.p_tree_after
+    let sink = modifier_sink store vartable query ~width ~out in
+    let sink =
+      match query.Sparql.Ast.having with
+      | None -> sink
+      | Some e ->
+          let lookup row v =
+            match Sparql.Vartable.find vartable v with
+            | Some col when Sparql.Binding.is_bound row col ->
+                Some (Rdf_store.Snapshot.decode_term store row.(col))
+            | _ -> None
           in
-          (out, stats)
-      | _ ->
-      begin
-      let bag, stats =
-        Evaluator.eval ~adaptive ?feedback env ~threshold p.p_tree_after
-      in
-      let bag =
-        match query.form with
-        | Sparql.Ast.Select (Sparql.Ast.Aggregated items) ->
-            aggregate_bag store vartable query items bag
-        | _ when query.Sparql.Ast.group_by <> [] ->
-            (* GROUP BY without aggregates: one representative row per
-               group (keys only). *)
-            aggregate_bag store vartable query [] bag
-        | _ -> bag
-      in
-      let bag =
-        match query.Sparql.Ast.having with
-        | None -> bag
-        | Some e ->
-            let lookup row v =
-              match Sparql.Vartable.find vartable v with
-              | Some col when Sparql.Binding.is_bound row col ->
-                  Some (Rdf_store.Snapshot.decode_term store row.(col))
-              | _ -> None
-            in
-            Sparql.Bag.filter bag ~f:(fun row ->
-                Sparql.Expr.eval ~lookup:(lookup row)
-                  ~exists:(fun _ -> false)
-                  e)
-      in
-      if streaming then begin
-        let out = Sparql.Bag.create ~width in
-        partial_out := Some out;
-        let sink = modifier_sink store vartable query ~width ~out in
-        (try Sparql.Bag.replay bag ~sink with Sparql.Sink.Stop -> ());
-        Sparql.Sink.close sink;
-        (out, { stats with Evaluator.stages = Sparql.Sink.stages sink })
-      end
-      else (apply_modifiers_materialized store vartable query bag, stats)
-    end
+          Sparql.Sink.filter ~name:"having"
+            ~f:(fun row ->
+              Sparql.Expr.eval ~lookup:(lookup row) ~exists:(fun _ -> false) e)
+            sink
+    in
+    let sink =
+      match query.form with
+      | Sparql.Ast.Select (Sparql.Ast.Aggregated items) ->
+          aggregate_sink store vartable query ~width items sink
+      | _ when query.Sparql.Ast.group_by <> [] ->
+          (* GROUP BY without aggregates: one row per group (keys only). *)
+          aggregate_sink store vartable query ~width [] sink
+      | _ -> sink
+    in
+    Evaluator.eval_into ~adaptive ?feedback env ~threshold ~sink p.p_tree_after
   in
   (* [Fun.protect]: an engine exception (or a [Stop] leak) must not leave
      the bag runner enabled for the next query on this process; the
@@ -618,15 +482,10 @@ let execute ?(domains = 1) ?(streaming = true) ?(adaptive = true) ?feedback
   let exec_ms = now_ms () -. t1 in
   let bag, eval_stats, partial_marker =
     match outcome with
-    | Ok (bag, stats) -> (Some bag, Some stats, None)
+    | Ok stats -> (Some out, Some stats, None)
     | Error f when partial ->
         (* Graceful degradation: surface whatever reached the terminal bag
            before the kill, marked as partial. *)
-        let out =
-          match !partial_out with
-          | Some out -> out
-          | None -> Sparql.Bag.create ~width
-        in
         (Some out, None, Some f)
     | Error _ -> (None, None, None)
   in

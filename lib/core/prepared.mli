@@ -118,14 +118,14 @@ val ticket :
   unit ->
   Sparql.Governor.t
 
-(** [execute ?domains ?streaming ?row_budget ?timeout_ms ?partial
-    ?governor ?cache p] runs the prepared plan once, under its own
+(** [execute ?domains ?row_budget ?timeout_ms ?partial ?governor ?cache
+    p] runs the prepared plan once, under its own
     governor ticket — concurrent executions with different limits are
     fully isolated. The knobs are execution-time only and carry the same
     semantics as [Executor.run]: [domains] (default 1) retargets the
-    shared plan to a domain pool, [streaming] (default [true]) pushes
-    solution modifiers into a sink pipeline, [row_budget] and
-    [timeout_ms] bound the run. [partial] (default [false]) makes a
+    shared plan to a domain pool, [row_budget] and [timeout_ms] bound
+    the run. Evaluation streams into one sink pipeline: GROUP BY /
+    aggregates, HAVING, then the solution modifiers. [partial] (default [false]) makes a
     killed run return the rows materialized before the limit fired,
     marked in the report's [partial] field. [governor] supplies a
     pre-built ticket (e.g. one the caller wants to {!Sparql.Governor.cancel}
@@ -147,7 +147,6 @@ val ticket :
     cardinalities. *)
 val execute :
   ?domains:int ->
-  ?streaming:bool ->
   ?adaptive:bool ->
   ?feedback:Feedback.t ->
   ?row_budget:int ->
@@ -159,6 +158,22 @@ val execute :
   ?stats:Rdf_store.Stats.t ->
   t ->
   report
+
+(** [compute_aggregate_ids store ~agg ~distinct ~target ~row_count ids]
+    — one aggregate over one group: [ids] are the group's bound
+    target-column ids in reverse arrival order (the fold order, float
+    summation included), [row_count] its row count, [target] the
+    aggregated variable ([None] for [COUNT( * )]). [None] when the result
+    is unbound (SUM over non-numeric values, MIN of an empty group). The
+    GROUP BY stage of {!execute} folds every group through it. *)
+val compute_aggregate_ids :
+  Rdf_store.Snapshot.t ->
+  agg:Sparql.Ast.agg_kind ->
+  distinct:bool ->
+  target:string option ->
+  row_count:int ->
+  int list ->
+  Rdf.Term.t option
 
 (** {1 Accessors} *)
 

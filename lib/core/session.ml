@@ -273,8 +273,8 @@ let backoff_delay b =
    execution, the ticket is ambient for the prepare phase too (so the
    cache.insert failpoint is reachable) and registered with the session
    for the whole attempt, so [cancel] can reach it. *)
-let attempt ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
-    ?partial ~faults ~parse t text =
+let attempt ~mode ~engine ?domains ?adaptive ?row_budget ?timeout_ms ?partial
+    ~faults ~parse t text =
   let gov = Prepared.ticket ?row_budget ?timeout_ms ~faults () in
   register t gov;
   Fun.protect
@@ -289,11 +289,11 @@ let attempt ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
                 in
                 (entry, cache, stats_for_locked t snap)))
       in
-      Prepared.execute ?domains ?streaming ?adaptive ~feedback:entry.feedback
+      Prepared.execute ?domains ?adaptive ~feedback:entry.feedback
         ?partial ~governor:gov ~cache ~snapshot:snap ~stats entry.prepared)
 
-let run_gen ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
-    ?partial ?(retries = 0) ?(faults = []) ?backoff:bo ~parse t text =
+let run_gen ~mode ~engine ?domains ?adaptive ?row_budget ?timeout_ms ?partial
+    ?(retries = 0) ?(faults = []) ?backoff:bo ~parse t text =
   (* Bounded retry with a fresh ticket per attempt. Only transient
      failures retry (a cancellation is the caller's intent and must
      stick). Fault values are shared by reference across attempts, so a
@@ -317,8 +317,8 @@ let run_gen ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
   let rec go attempts_left =
     let outcome =
       match
-        attempt ~mode ~engine ?domains ?streaming ?adaptive ?row_budget
-          ?timeout_ms ?partial ~faults ~parse t text
+        attempt ~mode ~engine ?domains ?adaptive ?row_budget ?timeout_ms
+          ?partial ~faults ~parse t text
       with
       | report -> Ok report
       | exception Governor.Kill f -> Error f
@@ -335,20 +335,20 @@ let run_gen ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
   go (max 0 retries)
 
 let run ?(mode = Prepared.Full) ?(engine = Engine.Bgp_eval.Wco) ?domains
-    ?streaming ?adaptive ?row_budget ?timeout_ms ?partial ?retries ?faults
-    ?backoff t text =
-  run_gen ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
-    ?partial ?retries ?faults ?backoff
+    ?adaptive ?row_budget ?timeout_ms ?partial ?retries ?faults ?backoff t text
+    =
+  run_gen ~mode ~engine ?domains ?adaptive ?row_budget ?timeout_ms ?partial
+    ?retries ?faults ?backoff
     ~parse:(fun () -> Sparql.Parser.parse text)
     t text
 
 (* The update path: run an already-built query AST through the same
    cache and governance under a synthetic key (see {!Update_exec}). *)
 let run_query_ast ?(mode = Prepared.Full) ?(engine = Engine.Bgp_eval.Wco)
-    ?domains ?streaming ?adaptive ?row_budget ?timeout_ms ?partial ?retries
-    ?faults ?backoff t ~key query =
-  run_gen ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
-    ?partial ?retries ?faults ?backoff
+    ?domains ?adaptive ?row_budget ?timeout_ms ?partial ?retries ?faults
+    ?backoff t ~key query =
+  run_gen ~mode ~engine ?domains ?adaptive ?row_budget ?timeout_ms ?partial
+    ?retries ?faults ?backoff
     ~parse:(fun () -> query)
     t key
 

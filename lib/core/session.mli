@@ -165,8 +165,8 @@ val feedback :
   string ->
   Feedback.t option
 
-(** [run ?mode ?engine ?domains ?streaming ?row_budget ?timeout_ms
-    ?partial ?retries ?faults t text] — {!prepare} (through the cache)
+(** [run ?mode ?engine ?domains ?row_budget ?timeout_ms ?partial
+    ?retries ?faults t text] — {!prepare} (through the cache)
     followed by {!Prepared.execute}, both against one snapshot pinned
     at the start of the attempt, under a fresh governor ticket
     registered with the session for the duration of the run (so
@@ -200,7 +200,6 @@ val run :
   ?mode:Prepared.mode ->
   ?engine:Engine.Bgp_eval.engine ->
   ?domains:int ->
-  ?streaming:bool ->
   ?adaptive:bool ->
   ?row_budget:int ->
   ?timeout_ms:float ->
@@ -220,7 +219,6 @@ val run_query_ast :
   ?mode:Prepared.mode ->
   ?engine:Engine.Bgp_eval.engine ->
   ?domains:int ->
-  ?streaming:bool ->
   ?adaptive:bool ->
   ?row_budget:int ->
   ?timeout_ms:float ->

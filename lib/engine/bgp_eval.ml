@@ -81,17 +81,10 @@ let plan ctx patterns =
       Hashtbl.add ctx.plan_cache patterns plan;
       plan
 
-(* [eval_with]/[eval_into_with] take the engine explicitly — the
-   adaptive executor picks per node, the plain entry points below pass
-   the context's engine. The memoized plan is engine-independent, so
-   switching engines per node costs nothing extra. *)
-let eval_with ctx ~engine patterns ~candidates =
-  let plan = plan ctx patterns in
-  let width = width ctx in
-  match engine with
-  | Wco -> Wco.eval ?pool:ctx.pool ctx.store ~stats:ctx.stats ~width plan ~candidates
-  | Hash_join -> Hash_join.eval ctx.store ~width plan ~candidates
-
+(* [eval_into_with] takes the engine explicitly — the adaptive executor
+   picks per node, [eval_into] passes the context's engine. The memoized
+   plan is engine-independent, so switching engines per node costs
+   nothing extra. *)
 let eval_into_with ctx ~engine patterns ~candidates ~sink =
   let plan = plan ctx patterns in
   let width = width ctx in
@@ -101,9 +94,6 @@ let eval_into_with ctx ~engine patterns ~candidates ~sink =
         ~candidates ~sink
   | Hash_join ->
       Hash_join.eval_into ?pool:ctx.pool ctx.store ~width plan ~candidates ~sink
-
-let eval ctx patterns ~candidates =
-  eval_with ctx ~engine:ctx.engine patterns ~candidates
 
 let eval_into ctx patterns ~candidates ~sink =
   eval_into_with ctx ~engine:ctx.engine patterns ~candidates ~sink

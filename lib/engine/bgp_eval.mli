@@ -61,15 +61,11 @@ val pool : t -> Pool.t option
 
 val width : t -> int
 
-(** [eval ctx patterns ~candidates] evaluates a BGP (a list of triple
-    patterns; the empty list yields the unit bag). *)
-val eval :
-  t -> Sparql.Triple_pattern.t list -> candidates:Candidates.t -> Sparql.Bag.t
-
-(** [eval_into ctx patterns ~candidates ~sink] — streaming [eval]: the
-    final evaluation step emits rows into [sink] instead of materializing
-    the result bag, so a downstream LIMIT can short-circuit it via
-    [Sink.Stop]. The empty pattern list emits the single unit row. *)
+(** [eval_into ctx patterns ~candidates ~sink] evaluates a BGP (a list
+    of triple patterns): the final evaluation step emits rows into [sink],
+    so a downstream LIMIT can short-circuit it via [Sink.Stop]; a caller
+    that needs the whole result collects it with {!Sparql.Bag.sink}. The
+    empty pattern list emits the single unit row. *)
 val eval_into :
   t ->
   Sparql.Triple_pattern.t list ->
@@ -77,19 +73,11 @@ val eval_into :
   sink:Sparql.Sink.t ->
   unit
 
-(** [eval_with ctx ~engine patterns ~candidates] — {!eval} with the
-    engine chosen per call instead of from the context. The adaptive
-    executor uses this to pick wco vs hash probe per BE-tree node based
-    on the plan's engine-specific cost estimates; memoized plans are
-    engine-independent so the override costs nothing extra. *)
-val eval_with :
-  t ->
-  engine:engine ->
-  Sparql.Triple_pattern.t list ->
-  candidates:Candidates.t ->
-  Sparql.Bag.t
-
-(** [eval_into_with] — streaming {!eval_with}. *)
+(** [eval_into_with ctx ~engine patterns ~candidates ~sink] — {!eval_into}
+    with the engine chosen per call instead of from the context. The
+    adaptive executor uses this to pick wco vs hash probe per BE-tree
+    node based on the plan's engine-specific cost estimates; memoized
+    plans are engine-independent so the override costs nothing extra. *)
 val eval_into_with :
   t ->
   engine:engine ->

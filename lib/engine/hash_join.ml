@@ -28,13 +28,6 @@ let scan_pattern store ~width pattern ~candidates =
   scan_iter store ~width pattern ~candidates ~f:(Sparql.Bag.push bag);
   bag
 
-let eval store ~width (plan : Planner.plan) ~candidates =
-  List.fold_left
-    (fun acc (step : Planner.step) ->
-      let scanned = scan_pattern store ~width step.Planner.pattern ~candidates in
-      Sparql.Bag.join acc scanned)
-    (Sparql.Bag.unit ~width) plan.steps
-
 (* The variable columns a pattern binds — the probe-side domain of the
    final join in [eval_into]. *)
 let pattern_cols (pattern : Compiled.t) =
@@ -50,8 +43,8 @@ let pattern_cols (pattern : Compiled.t) =
    probe (which can short-circuit the scan itself). *)
 let min_parallel_probe = 512
 
-(* Streaming variant: the joins over all patterns but the last build and
-   materialize exactly as [eval]; the accumulated result then becomes the
+(* The joins over all patterns but the last build and materialize
+   left-deep in the planner's order; the accumulated result then becomes the
    build side of the final join, and the last pattern's scan probes it
    row-at-a-time, emitting merged rows straight into [sink] — the scan
    never materializes, so a downstream LIMIT short-circuits it via

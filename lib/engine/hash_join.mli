@@ -2,15 +2,8 @@
     mappings (pruned by candidate sets), and the bags are combined left-deep
     in the planner's order with binary hash joins (Eq. 9's cost model). *)
 
-val eval :
-  Rdf_store.Snapshot.t ->
-  width:int ->
-  Planner.plan ->
-  candidates:Candidates.t ->
-  Sparql.Bag.t
-
-(** [eval_into] is [eval] with the final join streamed: the joins over all
-    patterns but the last materialize as usual and become the build side;
+(** [eval_into ?pool store ~width plan ~candidates ~sink] — the joins over
+    all patterns but the last materialize and become the build side;
     the last pattern's scan then probes row-at-a-time, emitting merged rows
     into [sink], so a downstream LIMIT can short-circuit the scan via
     [Sink.Stop]. With [?pool] (and more than one domain), a large probe

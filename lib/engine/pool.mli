@@ -121,8 +121,9 @@ val global : unit -> t option
 
 (** [enable_bag_runner ()] installs the global pool as [Sparql.Bag]'s
     parallel runner, so the probe side of [Bag.join] /
-    [Bag.left_outer_join] / [Bag.minus] (and their streaming [_into]
-    forms, through shard sinks) is morselized across domains.
+    [Bag.left_outer_join] / [Bag.minus] (and of [Bag.join_into] /
+    [Bag.left_outer_join_into], through shard sinks) is morselized
+    across domains.
     [disable_bag_runner ()] restores the serial operators. The executor
     brackets each [domains > 1] query with these. *)
 val enable_bag_runner : unit -> unit

@@ -1,11 +1,3 @@
-(* Toggle between the vertex-at-a-time multiway-intersection path (default)
-   and the legacy pattern-at-a-time scan path. Both consume the same cached
-   plan; the equivalence property tests and the bench baseline flip this. *)
-let use_multiway = Atomic.make true
-
-let set_multiway b = Atomic.set use_multiway b
-let multiway_enabled () = Atomic.get use_multiway
-
 (* The candidate check for a pattern position: a newly bound variable must
    pass its candidate set; constants and already-bound variables were
    checked when they were bound. *)
@@ -257,19 +249,9 @@ let eval_vstep ?pool store stats ~width candidates input = function
       eval_extend ?pool store ~width candidates input ~col
         (List.map (fun (s : Planner.step) -> s.pattern) steps)
 
-let eval ?pool store ~stats ~width (plan : Planner.plan) ~candidates =
-  if Atomic.get use_multiway then
-    List.fold_left
-      (eval_vstep ?pool store stats ~width candidates)
-      (Sparql.Bag.unit ~width) plan.vsteps
-  else
-    List.fold_left
-      (eval_step ?pool store stats ~width candidates)
-      (Sparql.Bag.unit ~width) plan.steps
-
-(* Streaming variant: every step but the last materializes exactly as
-   [eval] (each step's input must be complete before the next begins), but
-   the last step's extensions flow straight into [sink]. Under a pool the
+(* The final step streams: every step but the last materializes (each
+   step's input must be complete before the next begins), and the last
+   step's extensions flow straight into [sink]. Under a pool the
    last step runs through [Pool.stream]: each agent emits into its own
    shard of the sink, and a [Sink.Stop] raised in any shard (a satisfied
    LIMIT) stops the other domains at their next morsel boundary — genuine
@@ -355,29 +337,18 @@ let stream_extend ?pool store ~width candidates input ~col patterns ~sink =
 
 let eval_into ?pool store ~stats ~width (plan : Planner.plan) ~candidates ~sink
     =
-  if Atomic.get use_multiway then
-    match List.rev plan.vsteps with
-    | [] -> Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width)
-    | last :: rev_prefix ->
-        let input =
-          List.fold_left
-            (eval_vstep ?pool store stats ~width candidates)
-            (Sparql.Bag.unit ~width) (List.rev rev_prefix)
-        in
-        (match last with
-        | Planner.Scan step ->
-            stream_scan ?pool store stats ~width candidates input step ~sink
-        | Planner.Extend { col; steps } ->
-            stream_extend ?pool store ~width candidates input ~col
-              (List.map (fun (s : Planner.step) -> s.pattern) steps)
-              ~sink)
-  else
-    match List.rev plan.steps with
-    | [] -> Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width)
-    | last :: rev_prefix ->
-        let input =
-          List.fold_left
-            (eval_step ?pool store stats ~width candidates)
-            (Sparql.Bag.unit ~width) (List.rev rev_prefix)
-        in
-        stream_scan ?pool store stats ~width candidates input last ~sink
+  match List.rev plan.vsteps with
+  | [] -> Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width)
+  | last :: rev_prefix -> (
+      let input =
+        List.fold_left
+          (eval_vstep ?pool store stats ~width candidates)
+          (Sparql.Bag.unit ~width) (List.rev rev_prefix)
+      in
+      match last with
+      | Planner.Scan step ->
+          stream_scan ?pool store stats ~width candidates input step ~sink
+      | Planner.Extend { col; steps } ->
+          stream_extend ?pool store ~width candidates input ~col
+            (List.map (fun (s : Planner.step) -> s.pattern) steps)
+            ~sink)

@@ -1,6 +1,6 @@
 (** gStore-style worst-case-optimal BGP evaluation.
 
-    The default path is vertex-at-a-time: the planner groups consecutive
+    Evaluation is vertex-at-a-time: the planner groups consecutive
     patterns that each have the extension column as their only unbound
     position ({!Planner.vstep}), every such pattern resolves to the sorted
     third-column view of one index prefix ({!Rdf_store.Index.column_view}),
@@ -23,27 +23,11 @@
     [stats] feeds {!Planner.step} seed selection: candidate-seeded lookups
     tie-break on the predicate's average degree at the seeded endpoint. *)
 
-(** [set_multiway false] switches {!eval} / {!eval_into} to the legacy
-    pattern-at-a-time path (process-global; default [true]). Both paths
-    consume the same cached plan and produce equal bags — the toggle exists
-    for the equivalence property tests and as the bench baseline. *)
-val set_multiway : bool -> unit
-
-val multiway_enabled : unit -> bool
-
-val eval :
-  ?pool:Pool.t ->
-  Rdf_store.Snapshot.t ->
-  stats:Rdf_store.Stats.t ->
-  width:int ->
-  Planner.plan ->
-  candidates:Candidates.t ->
-  Sparql.Bag.t
-
-(** [eval_into] is [eval] with the final step streamed: all steps but the
-    last materialize as usual, and the last step's extensions are emitted
-    into [sink] instead of a result bag, so a downstream LIMIT can
-    short-circuit the scan via [Sink.Stop]. The serial terminal step binds
+(** [eval_into ?pool store ~stats ~width plan ~candidates ~sink]
+    evaluates the plan's vertex-at-a-time steps: all steps but the last
+    materialize, and the last step's extensions are emitted into [sink],
+    so a downstream LIMIT can short-circuit the scan via [Sink.Stop]. An
+    empty plan emits the single unit row. The serial terminal step binds
     matches into a reused scratch row and copies only on emit. Under a pool
     the last step fans out into worker-local bags that are replayed
     serially into the sink (Stop only ever unwinds serial code). *)

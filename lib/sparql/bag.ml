@@ -371,13 +371,6 @@ let minus b1 b2 =
       if not (exists_compatible part row ~pred:(fun _ -> true)) then
         push out row)
 
-let minus_into b1 b2 ~sink =
-  if b1.width <> b2.width then invalid_arg "Bag.minus_into: width mismatch";
-  let part = partition b2 (shared_columns b1 b2) in
-  stream_probe ~width:b1.width b1 ~sink ~emit:(fun push_row row ->
-      if not (exists_compatible part row ~pred:(fun _ -> true)) then
-        push_row row)
-
 (* SPARQL 1.1 MINUS: μ1 is removed only by a compatible μ2 with at least
    one *shared bound* variable (disjoint-domain mappings do not exclude —
    the subtlety distinguishing MINUS from the Section 3 ∖ operator). *)
@@ -465,15 +458,12 @@ let left_outer_join_into b1 b2 ~sink =
 
 (* The pushes in [filter], [project] and [dedup] below are intentional
    cost-proxy charges: each selected/rebuilt row is a new operator output
-   (matching the [account] their streaming counterparts perform). *)
+   (matching the [account] a streaming producer performs per row). *)
 
 let filter bag ~f =
   let result = create ~width:bag.width in
   iter bag ~f:(fun row -> if f row then push result row);
   result
-
-let filter_into bag ~f ~sink =
-  iter bag ~f:(fun row -> if f row then emit_accounted sink row)
 
 let project bag ~cols =
   let result = create ~width:bag.width in
@@ -482,12 +472,6 @@ let project bag ~cols =
       List.iter (fun col -> fresh.(col) <- row.(col)) cols;
       push result fresh);
   result
-
-let project_into bag ~cols ~sink =
-  iter bag ~f:(fun row ->
-      let fresh = Binding.create ~width:bag.width in
-      List.iter (fun col -> fresh.(col) <- row.(col)) cols;
-      emit_accounted sink fresh)
 
 let dedup bag =
   let seen = Hashtbl.create (max 16 bag.len) in

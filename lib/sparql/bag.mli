@@ -25,8 +25,10 @@ type t
     ambient ticket: the same budget/deadline/counter accounting as
     {!push}, without materializing. Streaming producers call it once per
     row emitted into a sink pipeline, so resource limits mean the same
-    thing whether an operator materializes or streams. Serial sink-driving
-    code only. *)
+    thing whether an operator materializes or streams. Its deadline
+    stride is approximate when several domains call it at once (see
+    [Governor.charge_stream]); morsel workers emitting into shard sinks
+    use {!emit_charged} instead. *)
 val account : unit -> unit
 
 (** {1 Construction} *)
@@ -135,8 +137,8 @@ val equal_as_bags : t -> t -> bool
     to [bag] by blit (production was already charged). *)
 val sink : t -> Sink.t
 
-(** [emit_accounted sink row] — charge one produced row and emit it.
-    Serial sink-driving code only (uses the ticket's serial stride). *)
+(** [emit_accounted sink row] — charge one produced row ({!account}) and
+    emit it. *)
 val emit_accounted : Sink.t -> Binding.t -> unit
 
 (** [emit_charged sink row] — charge one produced row through the
@@ -151,10 +153,7 @@ val replay : t -> sink:Sink.t -> unit
 
 val join_into : t -> t -> sink:Sink.t -> unit
 val left_outer_join_into : t -> t -> sink:Sink.t -> unit
-val minus_into : t -> t -> sink:Sink.t -> unit
 val sparql_minus_into : t -> t -> sink:Sink.t -> unit
-val filter_into : t -> f:(Binding.t -> bool) -> sink:Sink.t -> unit
-val project_into : t -> cols:int list -> sink:Sink.t -> unit
 
 (** [join_sink build ~probe_cols ~sink] — a row-at-a-time join for
     producers that stream their probe side: partitions [build] once on the

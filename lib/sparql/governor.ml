@@ -63,10 +63,10 @@ type t = {
   deadline : (float * (unit -> float)) option;  (* (at, now) *)
   cancelled : bool Atomic.t;
   faults : fault array;
-  (* Stride counter for the serial streaming [charge_stream] path; one
-     execution drives one sink pipeline from one domain, so a plain ref
-     scoped to the ticket is race-free where a process-global one was
-     not. *)
+  (* Stride counter for the streaming [charge_stream] path, scoped to the
+     ticket. Mostly one domain drives it; parallel UNION branches may
+     race on it, which can only lose an increment (delaying one tick),
+     never a budget charge. *)
   stream_unchecked : int ref;
   (* Stride counter for [charge_parallel]: shared by every domain that
      emits under this ticket (the morsel scheduler re-installs the

@@ -121,8 +121,11 @@ val charge : t -> unit
 val tick : t -> unit
 
 (** [charge_stream t] — [charge] plus a strided [tick] using the ticket's
-    own serial stride counter; for streaming producers that have no bag
-    to hang a stride counter on. Serial sink-driving code only. *)
+    own stride counter; for streaming producers that have no bag to hang
+    a stride counter on. The counter is a plain reference: concurrent
+    callers (parallel UNION branches collecting their rows) may lose
+    increments, which only delays a deadline or cancellation check — the
+    budget charge itself is atomic. *)
 val charge_stream : t -> unit
 
 (** [charge_parallel t] — [charge] plus a strided [tick] through the

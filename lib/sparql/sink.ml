@@ -359,12 +359,12 @@ module Bounded_heap = struct
   let rows h = Array.to_list (Array.map fst (sorted_items h))
 end
 
-(* Streaming ungrouped aggregation: [push] folds each arriving row into
-   the caller's accumulators; [flush] computes the aggregate row(s) and
-   emits them downstream at close (an ungrouped aggregate produces output
-   even over zero input rows). No fork: the fold order of order-sensitive
-   accumulators (float sums, DISTINCT collection) must match the
-   materialized path's, so the scheduler drives this pipeline serially. *)
+(* Streaming aggregation: [push] folds each arriving row into the
+   caller's accumulators (one per group); [flush] computes the aggregate
+   rows and emits them downstream at close (an ungrouped aggregate
+   produces output even over zero input rows). No fork: order-sensitive
+   accumulators (float sums, SAMPLE, group order) fold in arrival order,
+   so the scheduler drives this pipeline serially. *)
 let aggregate ~name ~push ~flush inner =
   let s = new_stage inner name in
   let feed row =

@@ -104,12 +104,12 @@ val distinct : t -> t
     {!Stop} once the last needed row has been forwarded. *)
 val offset_limit : ?offset:int -> ?limit:int -> t -> t
 
-(** [aggregate ~name ~push ~flush inner] — streaming ungrouped
-    aggregation: [push] folds each row into the caller's accumulators;
-    [flush emit] computes the aggregate row(s) and emits them downstream
-    at {!close} (an ungrouped aggregate produces a row even over empty
-    input). Never forks — pipelines containing it are driven serially,
-    keeping fold order deterministic. *)
+(** [aggregate ~name ~push ~flush inner] — streaming aggregation (GROUP
+    BY and ungrouped): [push] folds each row into the caller's
+    accumulators; [flush emit] computes the aggregate rows and emits them
+    downstream at {!close} (an ungrouped aggregate produces a row even
+    over empty input). Never forks — pipelines containing it are driven
+    serially, keeping fold order deterministic. *)
 val aggregate :
   name:string ->
   push:(Binding.t -> unit) ->

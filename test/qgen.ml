@@ -150,7 +150,7 @@ let gen_query =
    an ORDER BY over *all* four variables: under a full-key stable sort,
    rows tied on every key are identical, so the selected window is unique
    as a bag no matter what order the producers emitted rows in (parallel
-   UNION branches, streaming vs. materializing) — without it, LIMIT over
+   UNION branches, parallel shards) — without it, LIMIT over
    an unordered bag is legitimately nondeterministic and untestable. *)
 let gen_modified_query =
   QCheck2.Gen.(
@@ -207,28 +207,162 @@ let gen_wd_query =
         })
       (gen_wd_group 2))
 
+(* [gen_query] grouped: GROUP BY on 0-2 variables (projected as plain
+   items), a COUNT( * ) alias [?n], one to three aggregates over single
+   variables — COUNT, COUNT DISTINCT, SUM, MIN and MAX, whose values do
+   not depend on row order (SAMPLE's pick does, so it is left out) — and
+   an optional HAVING on [?n]. *)
+let gen_grouped_query =
+  QCheck2.Gen.(
+    let* q = gen_query in
+    let* keys = int_range 0 2 in
+    let* targets = list_size (int_range 1 3) (pair (int_range 0 4) (int_range 0 3)) in
+    let* having = option (int_range 0 3) in
+    let group_by = Array.to_list (Array.sub var_names 0 keys) in
+    let aggregate i (kind, v) =
+      let agg, distinct =
+        match kind with
+        | 0 -> (Sparql.Ast.Count, false)
+        | 1 -> (Sparql.Ast.Count, true)
+        | 2 -> (Sparql.Ast.Sum, false)
+        | 3 -> (Sparql.Ast.Min, false)
+        | _ -> (Sparql.Ast.Max, false)
+      in
+      Sparql.Ast.Aggregate
+        { agg; distinct; target = Some var_names.(v);
+          alias = Printf.sprintf "x%d" i }
+    in
+    let items =
+      List.map (fun v -> Sparql.Ast.Svar v) group_by
+      @ Sparql.Ast.Aggregate
+          { agg = Sparql.Ast.Count; distinct = false; target = None; alias = "n" }
+        :: List.mapi aggregate targets
+    in
+    let having =
+      Option.map
+        (fun k ->
+          Sparql.Expr.Cmp
+            (Sparql.Expr.Cgt, Sparql.Expr.Var "n",
+             Sparql.Expr.Const (Rdf.Term.int_literal k)))
+        having
+    in
+    return
+      { q with
+        Sparql.Ast.form = Sparql.Ast.Select (Sparql.Ast.Aggregated items);
+        group_by;
+        having })
+
 (* The execution configurations the prepare/execute properties sweep:
-   every mode x engine x domain count {1,2,4} x modifier pipeline. *)
+   every mode x engine x domain count {1,2,4}. *)
 let exec_configs =
   List.concat_map
     (fun mode ->
       List.concat_map
-        (fun engine ->
-          List.concat_map
-            (fun domains ->
-              List.map
-                (fun streaming -> (mode, engine, domains, streaming))
-                [ true; false ])
-            [ 1; 2; 4 ])
+        (fun engine -> List.map (fun domains -> (mode, engine, domains)) [ 1; 2; 4 ])
         [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
     Sparql_uo.Executor.all_modes
+
+(* The Definition 7 oracle, over a given variable table. *)
+let oracle_in store vartable (query : Sparql.Ast.query) =
+  let env = Engine.Bgp_eval.make store vartable Engine.Bgp_eval.Hash_join in
+  fst (Sparql_uo.Binary_eval.eval env (Sparql.Algebra.of_query query))
 
 (* The Definition 7 oracle. *)
 let oracle store (query : Sparql.Ast.query) =
   let vartable = Sparql.Vartable.of_list (Sparql.Ast.group_vars query.where) in
-  let env = Engine.Bgp_eval.make store vartable Engine.Bgp_eval.Hash_join in
-  let bag, _ = Sparql_uo.Binary_eval.eval env (Sparql.Algebra.of_query query) in
-  (bag, vartable)
+  (oracle_in store vartable query, vartable)
+
+(* The variable table the executor builds for an aggregated query: the
+   pattern's variables, then one column per aggregate alias. *)
+let aggregate_vartable (query : Sparql.Ast.query) =
+  let vartable = Sparql.Vartable.of_list (Sparql.Ast.group_vars query.where) in
+  (match query.Sparql.Ast.form with
+  | Sparql.Ast.Select (Sparql.Ast.Aggregated items) ->
+      List.iter
+        (function
+          | Sparql.Ast.Aggregate { alias; _ } ->
+              ignore (Sparql.Vartable.id vartable alias)
+          | Sparql.Ast.Svar _ -> ())
+        items
+  | _ -> ());
+  vartable
+
+(* Reference GROUP BY + HAVING over an already-evaluated bag: partition
+   the rows by the GROUP BY columns, emit one row per group in
+   first-arrival order (the key columns plus one column per aggregate
+   alias, each folded over the group's bound target ids in reverse
+   arrival order), then keep the rows HAVING accepts. A grouped query over
+   no rows yields no groups; the ungrouped one yields one row. *)
+let aggregate_reference store vartable (query : Sparql.Ast.query) bag =
+  let snap = Rdf_store.Snapshot.of_store store in
+  let dict = Rdf_store.Triple_store.dictionary store in
+  let width = Sparql.Bag.width bag in
+  let items =
+    match query.Sparql.Ast.form with
+    | Sparql.Ast.Select (Sparql.Ast.Aggregated items) -> items
+    | _ -> []
+  in
+  let key_cols =
+    List.filter_map (Sparql.Vartable.find vartable) query.Sparql.Ast.group_by
+  in
+  let groups = Hashtbl.create 64 in
+  let order = ref [] in
+  Sparql.Bag.iter bag ~f:(fun row ->
+      let key = List.map (fun col -> row.(col)) key_cols in
+      match Hashtbl.find_opt groups key with
+      | Some rows -> rows := row :: !rows
+      | None ->
+          Hashtbl.add groups key (ref [ row ]);
+          order := key :: !order);
+  let keys =
+    match (List.rev !order, key_cols) with
+    | [], [] ->
+        Hashtbl.add groups [] (ref []);
+        [ [] ]
+    | keys, _ -> keys
+  in
+  let result = Sparql.Bag.create ~width in
+  List.iter
+    (fun key ->
+      let rows = !(Hashtbl.find groups key) in
+      let fresh = Sparql.Binding.create ~width in
+      List.iter2 (fun col v -> fresh.(col) <- v) key_cols key;
+      List.iter
+        (function
+          | Sparql.Ast.Svar _ -> ()
+          | Sparql.Ast.Aggregate { agg; distinct; target; alias } -> (
+              let ids =
+                match Option.bind target (Sparql.Vartable.find vartable) with
+                | None -> []
+                | Some col ->
+                    List.filter_map
+                      (fun row ->
+                        if Sparql.Binding.is_bound row col then Some row.(col)
+                        else None)
+                      rows
+              in
+              match
+                ( Sparql_uo.Prepared.compute_aggregate_ids snap ~agg ~distinct
+                    ~target ~row_count:(List.length rows) ids,
+                  Sparql.Vartable.find vartable alias )
+              with
+              | Some term, Some col ->
+                  fresh.(col) <- Rdf_store.Dictionary.encode dict term
+              | _ -> ()))
+        items;
+      Sparql.Bag.push result fresh)
+    keys;
+  match query.Sparql.Ast.having with
+  | None -> result
+  | Some e ->
+      let lookup row v =
+        match Sparql.Vartable.find vartable v with
+        | Some col when Sparql.Binding.is_bound row col ->
+            Some (Rdf_store.Triple_store.decode_term store row.(col))
+        | _ -> None
+      in
+      Sparql.Bag.filter result ~f:(fun row ->
+          Sparql.Expr.eval ~lookup:(lookup row) ~exists:(fun _ -> false) e)
 
 let pp_query q = Sparql.Ast.to_string q
 

@@ -334,6 +334,12 @@ let test_candidates () =
 
 (* --- Engine equivalence (property) ------------------------------------------------ *)
 
+(* A BGP's whole result, collected from the streaming engine. *)
+let eval_bgp env patterns ~candidates =
+  let bag = Sparql.Bag.create ~width:(Engine.Bgp_eval.width env) in
+  Engine.Bgp_eval.eval_into env patterns ~candidates ~sink:(Sparql.Bag.sink bag);
+  bag
+
 (* Naive BGP evaluation: scan every pattern, nested-loop join. *)
 let naive_bgp store table width patterns =
   let snap = Rdf_store.Snapshot.of_store store in
@@ -362,10 +368,8 @@ let prop_engines_agree =
       let hash_env = Engine.Bgp_eval.make store table Engine.Bgp_eval.Hash_join in
       let width = Sparql.Vartable.size table in
       let reference = naive_bgp store table width patterns in
-      let wco = Engine.Bgp_eval.eval wco_env patterns ~candidates:Engine.Candidates.empty in
-      let hash =
-        Engine.Bgp_eval.eval hash_env patterns ~candidates:Engine.Candidates.empty
-      in
+      let wco = eval_bgp wco_env patterns ~candidates:Engine.Candidates.empty in
+      let hash = eval_bgp hash_env patterns ~candidates:Engine.Candidates.empty in
       Sparql.Bag.equal_as_bags wco reference
       && Sparql.Bag.equal_as_bags hash reference)
 
@@ -405,10 +409,9 @@ let prop_candidates_are_filters =
           List.for_all
             (fun engine ->
               let env = Engine.Bgp_eval.make store table engine in
-              let pruned = Engine.Bgp_eval.eval env patterns ~candidates:cands in
+              let pruned = eval_bgp env patterns ~candidates:cands in
               let full =
-                Engine.Bgp_eval.eval env patterns
-                  ~candidates:Engine.Candidates.empty
+                eval_bgp env patterns ~candidates:Engine.Candidates.empty
               in
               let filtered =
                 Sparql.Bag.filter full ~f:(fun row ->
@@ -513,43 +516,33 @@ let test_planner_groups_star () =
       Alcotest.(check int) "closing pattern absorbed" 2 (List.length steps)
   | _ -> Alcotest.fail "expected Scan then Extend"
 
-(* The tentpole equivalence: the multiway-intersection path, the legacy
-   pattern-at-a-time path and the Definition-7 oracle agree on random
-   queries across every mode x engine x domains {1,4} x streaming
+(* The multiway-intersection WCO path agrees with the Definition-7
+   oracle on random queries across every mode x engine x domains
    configuration. *)
-let prop_multiway_matches_legacy =
-  QCheck2.Test.make ~name:"multiway = legacy scan = oracle across configs"
-    ~count:25
+let prop_multiway_matches_oracle =
+  QCheck2.Test.make ~name:"multiway = oracle across configs" ~count:25
     QCheck2.Gen.(pair Qgen.gen_dataset Qgen.gen_query)
     (fun (triples, query) ->
       let store = Rdf_store.Triple_store.of_triples triples in
       let expected, _ = Qgen.oracle store query in
-      let run () =
-        List.for_all
-          (fun (mode, engine, domains, streaming) ->
-            let report =
-              Sparql_uo.Executor.run_query ~mode ~engine ~domains ~streaming
-                store query
-            in
-            match report.Sparql_uo.Executor.bag with
-            | Some bag -> Sparql.Bag.equal_as_bags bag expected
-            | None -> false)
-          Qgen.exec_configs
-      in
-      let with_multiway enabled =
-        Engine.Wco.set_multiway enabled;
-        Fun.protect ~finally:(fun () -> Engine.Wco.set_multiway true) run
-      in
-      with_multiway true && with_multiway false)
+      List.for_all
+        (fun (mode, engine, domains) ->
+          let report =
+            Sparql_uo.Executor.run_query ~mode ~engine ~domains store query
+          in
+          match report.Sparql_uo.Executor.bag with
+          | Some bag -> Sparql.Bag.equal_as_bags bag expected
+          | None -> false)
+        Qgen.exec_configs)
 
 (* --- Parallel execution ----------------------------------------------------------- *)
 
 (* The multicore layer must be invisible in the results: every parallel
-   configuration — engine x domains {2,4} x streaming on/off — agrees
-   with the serial run as bags, on every mode and random query. *)
+   configuration — engine x domains {2,4} — agrees with the serial run
+   as bags, on every mode and random query. *)
 let prop_parallel_matches_serial =
   QCheck2.Test.make
-    ~name:"parallel = serial across mode x engine x domains x streaming"
+    ~name:"parallel = serial across mode x engine x domains"
     ~count:40
     QCheck2.Gen.(pair Qgen.gen_dataset Qgen.gen_query)
     (fun (triples, query) ->
@@ -567,16 +560,13 @@ let prop_parallel_matches_serial =
               | Some expected ->
                   List.for_all
                     (fun domains ->
-                      List.for_all
-                        (fun streaming ->
-                          let par =
-                            Sparql_uo.Executor.run_query ~mode ~engine ~domains
-                              ~streaming store query
-                          in
-                          match par.Sparql_uo.Executor.bag with
-                          | Some bag -> Sparql.Bag.equal_as_bags bag expected
-                          | None -> false)
-                        [ true; false ])
+                      let par =
+                        Sparql_uo.Executor.run_query ~mode ~engine ~domains
+                          store query
+                      in
+                      match par.Sparql_uo.Executor.bag with
+                      | Some bag -> Sparql.Bag.equal_as_bags bag expected
+                      | None -> false)
                     [ 2; 4 ])
             [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
         Sparql_uo.Executor.all_modes)
@@ -606,51 +596,40 @@ let test_nested_union_of_joins () =
      UNION { ?s <http://t/p0> ?t . ?s <http://t/p0> ?u } }"
   in
   let serial = Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base ~domains:1 store text in
-  List.iter
-    (fun streaming ->
-      let par =
-        Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base ~domains:4
-          ~streaming store text
-      in
-      match (serial.Sparql_uo.Executor.bag, par.Sparql_uo.Executor.bag) with
-      | Some b1, Some b2 ->
-          Alcotest.(check bool)
-            (Printf.sprintf "nested UNION of joins equal (streaming=%b)"
-               streaming)
-            true
-            (Sparql.Bag.equal_as_bags b1 b2)
-      | _ -> Alcotest.fail "unexpected resource limit")
-    [ true; false ]
+  let par =
+    Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base ~domains:4 store text
+  in
+  match (serial.Sparql_uo.Executor.bag, par.Sparql_uo.Executor.bag) with
+  | Some b1, Some b2 ->
+      Alcotest.(check bool) "nested UNION of joins equal" true
+        (Sparql.Bag.equal_as_bags b1 b2)
+  | _ -> Alcotest.fail "unexpected resource limit"
 
-(* The tentpole's early-termination guarantee: with a streamed LIMIT at 4
-   domains, a satisfied limit raises [Stop] in one shard and the other
-   domains park at their next morsel boundary — the run must scan far
-   less than the materializing run, which extends all 1000 input rows.
-   (The historical scheduler replayed worker bags serially, so both runs
-   paid the full scan.) *)
+(* The early-termination guarantee: with a streamed LIMIT at 4 domains, a
+   satisfied limit raises [Stop] in one shard and the other domains park
+   at their next morsel boundary — the run must scan far less than the
+   same query without LIMIT, which extends all 1000 input rows. *)
 let test_limit_early_termination () =
   let store = Rdf_store.Triple_store.of_triples (chain_triples 1000) in
-  let text =
-    "SELECT * WHERE { ?x <http://t/p0> ?y . ?y <http://t/p1> ?z } LIMIT 10"
-  in
-  let run ~streaming =
+  let text = "SELECT * WHERE { ?x <http://t/p0> ?y . ?y <http://t/p1> ?z }" in
+  let run text =
     Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base
-      ~engine:Engine.Bgp_eval.Wco ~domains:4 ~streaming store text
+      ~engine:Engine.Bgp_eval.Wco ~domains:4 store text
   in
-  let streamed = run ~streaming:true in
-  let materialized = run ~streaming:false in
+  let streamed = run (text ^ " LIMIT 10") in
+  let full = run text in
   Alcotest.(check (option int)) "streamed limit honored" (Some 10)
     streamed.Sparql_uo.Executor.result_count;
-  Alcotest.(check (option int)) "materialized limit honored" (Some 10)
-    materialized.Sparql_uo.Executor.result_count;
-  (* The materializing run pays both full steps (~2000 produced rows); the
+  Alcotest.(check (option int)) "unlimited run returns every row" (Some 1000)
+    full.Sparql_uo.Executor.result_count;
+  (* The unlimited run pays both full steps (~2000 produced rows); the
      streamed run pays the first step plus at most the in-flight morsels
      of the 4 domains when the Stop lands. *)
   Alcotest.(check bool)
     (Printf.sprintf "full scan produced %d rows"
-       materialized.Sparql_uo.Executor.pushed_rows)
+       full.Sparql_uo.Executor.pushed_rows)
     true
-    (materialized.Sparql_uo.Executor.pushed_rows >= 2000);
+    (full.Sparql_uo.Executor.pushed_rows >= 2000);
   Alcotest.(check bool)
     (Printf.sprintf "early termination crossed domains (%d rows)"
        streamed.Sparql_uo.Executor.pushed_rows)
@@ -798,8 +777,8 @@ let test_parallel_budget_fires () =
 (* The whole adaptive layer (sideways bitset prefilters into OPTIONAL and
    MINUS subtrees, feedback-primed estimates, per-node engine selection,
    skip-on-empty short-circuits) is an execution strategy, never a
-   semantics change: adaptive = static as bags under every mode, engine,
-   domain count and modifier pipeline. *)
+   semantics change: adaptive = static as bags under every mode, engine
+   and domain count. *)
 let prop_adaptive_matches_static =
   QCheck2.Test.make ~name:"adaptive = static execution on random UO queries"
     ~count:40
@@ -815,21 +794,18 @@ let prop_adaptive_matches_static =
             (fun engine ->
               List.for_all
                 (fun domains ->
-                  List.for_all
-                    (fun streaming ->
-                      let run ~adaptive =
-                        Sparql_uo.Executor.run_query ~mode ~engine ~domains
-                          ~streaming ~adaptive ~stats store query
-                      in
-                      let static = run ~adaptive:false in
-                      let adaptive = run ~adaptive:true in
-                      match
-                        ( static.Sparql_uo.Executor.bag,
-                          adaptive.Sparql_uo.Executor.bag )
-                      with
-                      | Some b1, Some b2 -> Sparql.Bag.equal_as_bags b1 b2
-                      | _ -> false)
-                    [ true; false ])
+                  let run ~adaptive =
+                    Sparql_uo.Executor.run_query ~mode ~engine ~domains
+                      ~adaptive ~stats store query
+                  in
+                  let static = run ~adaptive:false in
+                  let adaptive = run ~adaptive:true in
+                  match
+                    ( static.Sparql_uo.Executor.bag,
+                      adaptive.Sparql_uo.Executor.bag )
+                  with
+                  | Some b1, Some b2 -> Sparql.Bag.equal_as_bags b1 b2
+                  | _ -> false)
                 [ 1; 4 ])
             [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
         Sparql_uo.Executor.all_modes)
@@ -935,13 +911,35 @@ let test_static_reports_no_nodes () =
   Alcotest.(check int) "no node reports" 0
     (List.length stats.Sparql_uo.Evaluator.nodes)
 
+(* A UNION that is its group's last child streams into the sink like any
+   other last child, and still reports its node. *)
+let test_last_child_union_node () =
+  let report =
+    Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Full
+      (Workload.Lubm.store Workload.Lubm.tiny)
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> SELECT * \
+       WHERE { { ?x ub:takesCourse ?c } UNION { ?x ub:teacherOf ?c } }"
+  in
+  let stats = Option.get report.Sparql_uo.Executor.eval_stats in
+  let union =
+    List.find_opt
+      (fun (n : Sparql_uo.Evaluator.node_report) ->
+        n.Sparql_uo.Evaluator.label = "union{2}")
+      stats.Sparql_uo.Evaluator.nodes
+  in
+  match union with
+  | Some n ->
+      Alcotest.(check (option int)) "union node counts the result"
+        report.Sparql_uo.Executor.result_count
+        (Some n.Sparql_uo.Evaluator.actual_rows)
+  | None -> Alcotest.fail "no union{2} node reported"
+
 (* --- Streaming ungrouped aggregates ------------------------------------ *)
 
 (* A SELECT of pure aggregates without GROUP BY streams through the
-   terminal aggregate sink; the materializing path groups the full bag.
-   Both share [compute_aggregate_ids] over reverse-arrival id lists, so
-   the single result row must be identical — including SAMPLE's pick and
-   float-summed AVG. *)
+   terminal aggregate sink: its one row must equal the reference fold over
+   the Definition-7 oracle's bag, serial and parallel. SAMPLE picks by
+   arrival order, so its run is only checked for a bound pick. *)
 let test_streaming_aggregate_matches () =
   let ub n = "<http://swat.cse.lehigh.edu/onto/univ-bench.owl#" ^ n ^ ">" in
   let store =
@@ -952,8 +950,7 @@ let test_streaming_aggregate_matches () =
     [
       "SELECT (COUNT(*) AS ?n) WHERE { ?x " ^ ub "takesCourse" ^ " ?c }";
       "SELECT (COUNT(?c) AS ?n) (COUNT(DISTINCT ?c) AS ?d) (MIN(?c) AS ?lo) \
-       (MAX(?c) AS ?hi) (SAMPLE(?c) AS ?any) WHERE { ?x "
-      ^ ub "takesCourse" ^ " ?c }";
+       (MAX(?c) AS ?hi) WHERE { ?x " ^ ub "takesCourse" ^ " ?c }";
       (* OPTIONAL body: the adaptive layer runs under the aggregate sink. *)
       "SELECT (COUNT(*) AS ?n) (COUNT(?e) AS ?ne) WHERE { ?x "
       ^ ub "takesCourse" ^ " ?c OPTIONAL { ?x " ^ ub "emailAddress"
@@ -964,25 +961,26 @@ let test_streaming_aggregate_matches () =
   in
   List.iter
     (fun text ->
+      let query = Sparql.Parser.parse text in
+      let vartable = Qgen.aggregate_vartable query in
+      let expected =
+        Qgen.aggregate_reference store vartable query
+          (Qgen.oracle_in store vartable query)
+      in
       List.iter
         (fun domains ->
-          let run ~streaming =
+          let streamed =
             Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Full ~domains
-              ~streaming store text
+              store text
           in
-          let materialized = run ~streaming:false in
-          let streamed = run ~streaming:true in
           Alcotest.(check (option int)) "one aggregate row" (Some 1)
             streamed.Sparql_uo.Executor.result_count;
-          (match
-             ( materialized.Sparql_uo.Executor.bag,
-               streamed.Sparql_uo.Executor.bag )
-           with
-          | Some b1, Some b2 ->
-              Alcotest.(check bool) "streamed aggregate = materialized" true
-                (Sparql.Bag.equal_as_bags b1 b2)
-          | _ -> Alcotest.fail "unexpected resource limit");
-          (* The streamed run really took the sink path. *)
+          (match streamed.Sparql_uo.Executor.bag with
+          | Some bag ->
+              Alcotest.(check bool) "streamed aggregate = reference" true
+                (Sparql.Bag.equal_as_bags bag expected)
+          | None -> Alcotest.fail "unexpected resource limit");
+          (* The run really took the sink path. *)
           if domains = 1 then
             let stats =
               Option.get streamed.Sparql_uo.Executor.eval_stats
@@ -993,7 +991,16 @@ let test_streaming_aggregate_matches () =
                    s.Sparql.Sink.name = "aggregate")
                  stats.Sparql_uo.Evaluator.stages))
         [ 1; 4 ])
-    queries
+    queries;
+  let sampled =
+    Sparql_uo.Executor.run store
+      ("SELECT (SAMPLE(?c) AS ?any) WHERE { ?x " ^ ub "takesCourse" ^ " ?c }")
+  in
+  match Sparql_uo.Executor.solutions store sampled with
+  | [ solution ] ->
+      Alcotest.(check bool) "SAMPLE picks a value" true
+        (List.mem_assoc "any" solution)
+  | _ -> Alcotest.fail "expected one SAMPLE row"
 
 let () =
   Alcotest.run "engine"
@@ -1034,7 +1041,7 @@ let () =
           Alcotest.test_case "planner groups star and triangle" `Quick
             test_planner_groups_star;
           QCheck_alcotest.to_alcotest prop_intersect_matches_naive;
-          QCheck_alcotest.to_alcotest prop_multiway_matches_legacy;
+          QCheck_alcotest.to_alcotest prop_multiway_matches_oracle;
         ] );
       ( "parallel",
         [
@@ -1064,6 +1071,8 @@ let () =
             test_replan_trigger;
           Alcotest.test_case "static runs report no nodes" `Quick
             test_static_reports_no_nodes;
+          Alcotest.test_case "last-child UNION reports its node" `Quick
+            test_last_child_union_node;
           Alcotest.test_case "streaming ungrouped aggregates" `Quick
             test_streaming_aggregate_matches;
         ] );

@@ -24,7 +24,7 @@ let triple i j = Rdf.Triple.make (Qgen.iri i) (Qgen.pred 0) (Qgen.iri j)
 
 (* The central prepare/execute property: a plan prepared once and executed
    repeatedly yields the same bag as a fresh one-shot run, across every
-   mode x engine x domains x streaming configuration. *)
+   mode x engine x domains configuration. *)
 let prop_prepared_reexecution_stable =
   QCheck2.Test.make ~name:"Prepared.execute twice = fresh Executor.run"
     ~count:40
@@ -34,17 +34,12 @@ let prop_prepared_reexecution_stable =
     (fun (triples, query) ->
       let store = store_of triples in
       List.for_all
-        (fun (mode, engine, domains, streaming) ->
+        (fun (mode, engine, domains) ->
           let prepared = Sparql_uo.Prepared.prepare ~mode ~engine store query in
-          let first =
-            Sparql_uo.Prepared.execute ~domains ~streaming prepared
-          in
-          let second =
-            Sparql_uo.Prepared.execute ~domains ~streaming prepared
-          in
+          let first = Sparql_uo.Prepared.execute ~domains prepared in
+          let second = Sparql_uo.Prepared.execute ~domains prepared in
           let oneshot =
-            Sparql_uo.Executor.run_query ~mode ~engine ~domains ~streaming
-              store query
+            Sparql_uo.Executor.run_query ~mode ~engine ~domains store query
           in
           match
             ( first.Sparql_uo.Executor.bag,

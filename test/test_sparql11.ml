@@ -206,6 +206,39 @@ let test_exists_semantics () =
   in
   Alcotest.(check int) "not exists" 1 n
 
+(* EXISTS stops at its first row: every ?x below has 50 [p1] matches, so
+   materializing each parameterized pattern would produce 20 x 50 = 1000
+   rows; streaming it into a stop-at-first-row sink produces a handful
+   per outer row. The result is still the oracle's bag. *)
+let test_exists_stops_at_first_row () =
+  let subjects = 20 and matches = 50 in
+  let store =
+    Rdf_store.Triple_store.of_triples
+      (List.concat
+         (List.init subjects (fun i ->
+              Rdf.Triple.make (iri i) (pred 0) (iri i)
+              :: List.init matches (fun j ->
+                     Rdf.Triple.make (iri i) (pred 1) (iri (1000 + j))))))
+  in
+  let text =
+    "SELECT * WHERE { ?x <http://t/p0> ?y . FILTER EXISTS { ?x <http://t/p1> ?z . } }"
+  in
+  let expected, _ = Qgen.oracle store (Sparql.Parser.parse text) in
+  let report = Sparql_uo.Executor.run store text in
+  (match report.Sparql_uo.Executor.bag with
+  | Some bag ->
+      Alcotest.(check bool) "EXISTS = oracle" true
+        (Sparql.Bag.equal_as_bags bag expected)
+  | None -> Alcotest.fail "unexpected resource limit");
+  Alcotest.(check (option int)) "every subject passes" (Some subjects)
+    report.Sparql_uo.Executor.result_count;
+  Alcotest.(check bool)
+    (Printf.sprintf "EXISTS produced %d rows, under the %d a full \
+                     materialization needs"
+       report.Sparql_uo.Executor.pushed_rows (subjects * matches))
+    true
+    (report.Sparql_uo.Executor.pushed_rows < subjects * matches)
+
 let test_filter_functions_semantics () =
   let store = tiny_store () in
   let n =
@@ -621,6 +654,35 @@ let test_update_sequence_and_errors () =
   | exception Sparql.Parser.Parse_error _ -> ()
   | _ -> Alcotest.fail "expected error: DELETE template without WHERE"
 
+(* GROUP BY / HAVING stream through a hash-aggregate stage; the result
+   must equal the reference grouping over the Definition-7 oracle's bag,
+   on both engines, serial and parallel. *)
+let prop_grouped_aggregates_match_reference =
+  QCheck2.Test.make ~name:"GROUP BY/HAVING x {wco,hash} x domains = reference"
+    ~count:100
+    ~print:(fun (triples, query) ->
+      Qgen.pp_dataset triples ^ "\n" ^ Qgen.pp_query query)
+    QCheck2.Gen.(pair Qgen.gen_dataset Qgen.gen_grouped_query)
+    (fun (triples, query) ->
+      let store = Rdf_store.Triple_store.of_triples triples in
+      let vartable = Qgen.aggregate_vartable query in
+      let expected =
+        Qgen.aggregate_reference store vartable query
+          (Qgen.oracle_in store vartable query)
+      in
+      List.for_all
+        (fun engine ->
+          List.for_all
+            (fun domains ->
+              match
+                (Sparql_uo.Executor.run_query ~engine ~domains store query)
+                  .Sparql_uo.Executor.bag
+              with
+              | Some bag -> Sparql.Bag.equal_as_bags bag expected
+              | None -> false)
+            [ 1; 4 ])
+        [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
+
 let () =
   Alcotest.run "sparql11"
     [
@@ -646,6 +708,8 @@ let () =
           Alcotest.test_case "MINUS" `Quick test_minus_semantics;
           Alcotest.test_case "VALUES" `Quick test_values_semantics;
           Alcotest.test_case "EXISTS" `Quick test_exists_semantics;
+          Alcotest.test_case "EXISTS stops at its first row" `Quick
+            test_exists_stops_at_first_row;
           Alcotest.test_case "filter functions" `Quick test_filter_functions_semantics;
           Alcotest.test_case "ORDER BY" `Quick test_order_by_semantics;
           Alcotest.test_case "ASK" `Quick test_ask_form;
@@ -676,5 +740,6 @@ let () =
           Alcotest.test_case "COUNT DISTINCT" `Quick test_count_distinct;
           Alcotest.test_case "SUM over non-numeric" `Quick test_sum_non_numeric_unbound;
           Alcotest.test_case "HAVING" `Quick test_having;
+          QCheck_alcotest.to_alcotest prop_grouped_aggregates_match_reference;
         ] );
     ]
