@@ -252,7 +252,7 @@ let bgp_into st patterns ~cands ~forced ~sink =
   note_bgp st patterns ~admitted ~forced ~engine ~pruned ~actual;
   float_of_int actual
 
-(* Parallel-UNION safety check: materializing a VALUES block interns its
+(* Parallel-UNION safety check: evaluating a VALUES block interns its
    constants in the store dictionary — the one write to shared store state
    during evaluation — so a branch that can reach a VALUES node (directly
    or through an EXISTS pattern inside a filter) must stay on the serial
@@ -567,4 +567,5 @@ let eval_into ?(adaptive = false) ?feedback env ~threshold ~sink tree =
 let eval ?adaptive ?feedback env ~threshold tree =
   let bag = Sparql.Bag.create ~width:(Engine.Bgp_eval.width env) in
   let sink = Sparql.Bag.sink bag in
-  (bag, eval_into ?adaptive ?feedback env ~threshold ~sink tree)
+  let stats = eval_into ?adaptive ?feedback env ~threshold ~sink tree in
+  (bag, stats)
