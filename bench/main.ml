@@ -463,11 +463,9 @@ let micro ctx =
         Test.make ~name:"bag_union_2k_x_2k"
           (Staged.stage (fun () -> Sparql.Bag.union b1 b2));
         Test.make ~name:"bgp_eval_wco_triangle"
-          (Staged.stage (fun () ->
-               eval_bgp wco_env bgp));
+          (Staged.stage (fun () -> eval_bgp wco_env bgp));
         Test.make ~name:"bgp_eval_hash_triangle"
-          (Staged.stage (fun () ->
-               eval_bgp hash_env bgp));
+          (Staged.stage (fun () -> eval_bgp hash_env bgp));
         Test.make ~name:"parse_q1.1"
           (Staged.stage (fun () ->
                Sparql.Parser.parse

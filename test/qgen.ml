@@ -1,7 +1,8 @@
 (* Shared qcheck generators for the engine/core/LBR property tests: random
    small RDF datasets and random SPARQL-UO queries over their vocabulary,
-   plus the Definition-7 oracle to compare engines against, and the
-   allocation count the cost-independence tests read. *)
+   plus the Definition-7 oracle to compare engines against, a reference
+   GROUP BY over its bags, and the allocation count the cost-independence
+   tests read. *)
 
 module TP = Sparql.Triple_pattern
 
@@ -150,8 +151,8 @@ let gen_query =
    an ORDER BY over *all* four variables: under a full-key stable sort,
    rows tied on every key are identical, so the selected window is unique
    as a bag no matter what order the producers emitted rows in (parallel
-   UNION branches, parallel shards) — without it, LIMIT over
-   an unordered bag is legitimately nondeterministic and untestable. *)
+   UNION branches or domain shards) — without it, LIMIT over an unordered
+   bag is legitimately nondeterministic and untestable. *)
 let gen_modified_query =
   QCheck2.Gen.(
     let* q = gen_query in
