@@ -510,6 +510,13 @@ let micro ctx =
    to the human table. *)
 let parallel_bench_file = "bench_parallel.json"
 
+(* The scheduler counters a run's own report carries (zero when it was
+   killed before reporting). *)
+let sched_counters report =
+  match report.Sparql_uo.Executor.eval_stats with
+  | Some es -> es.Sparql_uo.Evaluator.sched
+  | None -> Engine.Pool.{ morsels = 0; steals = 0; stops = 0 }
+
 let parallel ctx ~domains =
   (* The sweep: serial baseline plus each parallel domain count up to
      [domains] (the --domains flag; 4 by default gives {1, 2, 4}). *)
@@ -518,11 +525,9 @@ let parallel ctx ~domains =
   in
   Harness.section
     (Printf.sprintf
-       "Parallel: full at domains={1%s} (LUBM mixed OPTIONAL/UNION workload, \
-        morsel=%d)"
+       "Parallel: full at domains={1%s} (LUBM mixed OPTIONAL/UNION workload)"
        (String.concat ""
-          (List.map (fun d -> Printf.sprintf ",%d" d) parallel_counts))
-       (Engine.Pool.morsel_size ()));
+          (List.map (fun d -> Printf.sprintf ",%d" d) parallel_counts)));
   let store, stats = Lazy.force ctx.lubm in
   let cell_json = function
     | Harness.Time ms -> Printf.sprintf "%.3f" ms
@@ -554,14 +559,13 @@ let parallel ctx ~domains =
               let par_cells =
                 List.map
                   (fun d ->
-                    Engine.Pool.reset_counters ();
                     let cell, report =
                       Harness.run_mode
                         { ctx.config with Harness.domains = d }
                         ~stats store entry ~mode:Sparql_uo.Executor.Full
                         ~engine
                     in
-                    let c = Engine.Pool.counters () in
+                    let c = sched_counters report in
                     let acc = List.assoc d counters in
                     acc :=
                       Engine.Pool.
@@ -699,12 +703,11 @@ let parallel ctx ~domains =
     let chain_store = Rdf_store.Triple_store.of_triples chain in
     let text = "SELECT * WHERE { ?x <http://b/p0> ?y . ?y <http://b/p1> ?z }" in
     let run text =
-      Engine.Pool.reset_counters ();
       let report =
         Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base
           ~engine:Engine.Bgp_eval.Wco ~domains chain_store text
       in
-      (report.Sparql_uo.Executor.pushed_rows, Engine.Pool.counters ())
+      (report.Sparql_uo.Executor.pushed_rows, sched_counters report)
     in
     let full_rows, _ = run text in
     let streamed_rows, c = run (text ^ " LIMIT 10") in
@@ -726,7 +729,7 @@ let parallel ctx ~domains =
     \  \"section\": \"parallel\",\n\
     \  \"dataset\": \"LUBM\",\n\
     \  \"mode\": \"full\",\n\
-    \  \"morsel_size\": %d,\n\
+    \  \"recommended_domain_count\": %d,\n\
     \  \"peak_rss_mb\": %.1f,\n\
     \  \"major_collections\": %d,\n\
     \  \"domains\": [1%s],\n\
@@ -735,7 +738,7 @@ let parallel ctx ~domains =
      %s\n\
     \  ]\n\
      }\n"
-    (Engine.Pool.morsel_size ())
+    (Domain.recommended_domain_count ())
     (float_of_int (Harness.peak_rss_kb ()) /. 1024.)
     (Harness.major_collections ())
     (String.concat ""
@@ -1971,11 +1974,6 @@ let () =
       ( "--domains",
         Arg.Set_int domains,
         "N domain count for the parallel section (default 4)" );
-      ( "--morsel-size",
-        Arg.Int Engine.Pool.set_morsel_size,
-        "N indices per morsel for the work-stealing scheduler (default "
-        ^ string_of_int Engine.Pool.default_morsel_size
-        ^ ")" );
     ]
   in
   Arg.parse spec

@@ -57,21 +57,6 @@ let budget_arg =
   let doc = "Intermediate-row budget (memory-limit analogue)." in
   Arg.(value & opt (some int) None & info [ "row-budget" ] ~doc)
 
-let compression_arg =
-  let modes =
-    [ ("delta", Rdf_store.Column.Delta); ("none", Rdf_store.Column.Raw) ]
-  in
-  let doc =
-    "Physical index compression for newly built stores: delta (default) \
-     stores the permutation indexes as off-heap delta/varint-compressed \
-     blocks; none keeps raw fixed-width off-heap cells (escape hatch for \
-     debugging or CPU-bound scans)."
-  in
-  Arg.(
-    value
-    & opt (enum modes) Rdf_store.Column.Delta
-    & info [ "compression" ] ~docv:"MODE" ~doc)
-
 let domains_arg =
   let doc =
     "Number of domains (OS-level cores) query evaluation may use; 1 \
@@ -80,18 +65,6 @@ let domains_arg =
      results are equal as bags, row order may differ."
   in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-
-let morsel_arg =
-  let doc =
-    "Indices per morsel for the work-stealing scheduler (effective with \
-     --domains > 1): smaller morsels tighten early-termination and \
-     kill latency and smooth imbalance; larger morsels amortize \
-     scheduling overhead."
-  in
-  Arg.(
-    value
-    & opt int Engine.Pool.default_morsel_size
-    & info [ "morsel-size" ] ~docv:"N" ~doc)
 
 let static_arg =
   let doc =
@@ -392,20 +365,17 @@ let session_runs session ~mode ~engine ~domains ~adaptive ?timeout_ms
   end;
   report
 
-(* Apply store-construction knobs: the compression default consulted by
-   every build path, and — with domains > 1 — the shared pool as the
-   bulk loader's parallel runner so index builds fan out too. *)
-let setup_build ~compression ~domains =
-  Rdf_store.Column.set_default_mode compression;
+(* With domains > 1, install the shared pool as the bulk loader's parallel
+   runner so index builds fan out too. *)
+let setup_build ~domains =
   if domains > 1 then
     Option.iter Engine.Pool.install_bulk_runner
       (Engine.Pool.ensure ~num_domains:domains)
 
 let query_cmd =
   let run data synth data_dir sync qfile qtext mode engine max_print timeout_ms
-      row_budget domains morsel static partial repeat compression =
-    Engine.Pool.set_morsel_size morsel;
-    setup_build ~compression ~domains;
+      row_budget domains static partial repeat =
+    setup_build ~domains;
     let text = or_die (load_query qfile qtext) in
     let session =
       match data_dir with
@@ -437,8 +407,8 @@ let query_cmd =
     Term.(
       const run $ data_arg $ synth_arg $ data_dir_arg $ sync_arg
       $ query_file_arg $ query_text_arg $ mode_arg $ engine_arg $ max_print_arg
-      $ timeout_arg $ budget_arg $ domains_arg $ morsel_arg $ static_arg
-      $ partial_arg $ repeat_arg $ compression_arg)
+      $ timeout_arg $ budget_arg $ domains_arg $ static_arg $ partial_arg
+      $ repeat_arg)
 
 (* ---------------- explain ---------------- *)
 
@@ -466,10 +436,8 @@ let explain_cmd =
 (* ---------------- modes ---------------- *)
 
 let modes_cmd =
-  let run data synth qfile qtext engine timeout_ms row_budget domains morsel
-      static compression =
-    Engine.Pool.set_morsel_size morsel;
-    setup_build ~compression ~domains;
+  let run data synth qfile qtext engine timeout_ms row_budget domains static =
+    setup_build ~domains;
     let store = or_die (load_store data synth) in
     let text = or_die (load_query qfile qtext) in
     (* One session across the four modes: statistics are computed once and
@@ -500,8 +468,7 @@ let modes_cmd =
     (Cmd.info "modes" ~doc:"Compare base/TT/CP/full on one query")
     Term.(
       const run $ data_arg $ synth_arg $ query_file_arg $ query_text_arg
-      $ engine_arg $ timeout_arg $ budget_arg $ domains_arg $ morsel_arg
-      $ static_arg $ compression_arg)
+      $ engine_arg $ timeout_arg $ budget_arg $ domains_arg $ static_arg)
 
 (* ---------------- update ---------------- *)
 
@@ -561,8 +528,10 @@ let update_cmd =
           | Some out -> out
           | None -> or_die (Error "--out is required without --data-dir")
         in
-        let store = or_die (load_store data synth) in
-        let store = Sparql_uo.Update_exec.run store text in
+        let session = Sparql_uo.Session.create (or_die (load_store data synth)) in
+        Sparql_uo.Update_exec.run_session session text;
+        Sparql_uo.Session.checkpoint session;
+        let store = Sparql_uo.Session.store session in
         write_out store out;
         Printf.printf "updated store: %d triples -> %s\n"
           (Rdf_store.Triple_store.size store)
@@ -634,8 +603,8 @@ let snapshot_cmd =
     let doc = "Output snapshot file." in
     Arg.(required & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
   in
-  let run data synth domains compression out =
-    setup_build ~compression ~domains;
+  let run data synth domains out =
+    setup_build ~domains;
     let store = or_die (load_store data synth) in
     Rdf_store.Snapshot.save store out;
     Printf.printf "wrote snapshot of %d triples to %s\n"
@@ -646,8 +615,7 @@ let snapshot_cmd =
     (Cmd.info "snapshot"
        ~doc:"Write a binary store snapshot (fast reload via --data)")
     Term.(
-      const run $ data_arg $ synth_arg $ domains_arg $ compression_arg
-      $ out_arg)
+      const run $ data_arg $ synth_arg $ domains_arg $ out_arg)
 
 (* ---------------- dot ---------------- *)
 

@@ -20,9 +20,9 @@ let bgp_label patterns =
              (fun tp -> escape (Sparql.Triple_pattern.to_string tp))
              patterns)
 
-(* Emit the subtree rooted at [g]; [path] identifies nodes for
-   highlighting; returns this group's dot node id. *)
-let rec emit buf ~prefix ~highlight path (g : Be_tree.group) =
+(* Emit the subtree rooted at [g]; [path] names its nodes; returns this
+   group's dot node id. *)
+let rec emit buf ~prefix path (g : Be_tree.group) =
   let id path = Printf.sprintf "%s_%s" prefix (String.concat "_" (List.map string_of_int (List.rev path))) in
   let self = id path in
   let filters =
@@ -46,68 +46,54 @@ let rec emit buf ~prefix ~highlight path (g : Be_tree.group) =
     (fun i node ->
       let child_path = i :: path in
       let child = id child_path in
-      let fill =
-        if List.mem (List.rev child_path) highlight then
-          ", style=filled, fillcolor=lightgoldenrod"
-        else ""
-      in
       (match node with
       | Be_tree.Bgp patterns ->
           Buffer.add_string buf
-            (Printf.sprintf "  %s [shape=box, label=\"%s\"%s];\n" child
-               (bgp_label patterns) fill)
+            (Printf.sprintf "  %s [shape=box, label=\"%s\"];\n" child
+               (bgp_label patterns))
       | Be_tree.Values { Sparql.Ast.vars; rows } ->
           Buffer.add_string buf
             (Printf.sprintf
-               "  %s [shape=box, label=\"VALUES %s (%d rows)\"%s];\n" child
+               "  %s [shape=box, label=\"VALUES %s (%d rows)\"];\n" child
                (escape (String.concat " " (List.map (fun v -> "?" ^ v) vars)))
-               (List.length rows) fill)
+               (List.length rows))
       | Be_tree.Union branches ->
           Buffer.add_string buf
-            (Printf.sprintf "  %s [shape=diamond, label=\"UNION\"%s];\n" child
-               fill);
+            (Printf.sprintf "  %s [shape=diamond, label=\"UNION\"];\n" child);
           List.iteri
             (fun j branch ->
-              let branch_id = emit buf ~prefix ~highlight (j :: child_path) branch in
+              let branch_id = emit buf ~prefix (j :: child_path) branch in
               Buffer.add_string buf
                 (Printf.sprintf "  %s -> %s;\n" child branch_id))
             branches
       | Be_tree.Optional inner ->
           Buffer.add_string buf
-            (Printf.sprintf "  %s [shape=diamond, label=\"OPTIONAL\"%s];\n"
-               child fill);
-          let inner_id = emit buf ~prefix ~highlight (0 :: child_path) inner in
+            (Printf.sprintf "  %s [shape=diamond, label=\"OPTIONAL\"];\n"
+               child);
+          let inner_id = emit buf ~prefix (0 :: child_path) inner in
           Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" child inner_id)
       | Be_tree.Minus inner ->
           Buffer.add_string buf
-            (Printf.sprintf "  %s [shape=diamond, label=\"MINUS\"%s];\n" child
-               fill);
-          let inner_id = emit buf ~prefix ~highlight (0 :: child_path) inner in
+            (Printf.sprintf "  %s [shape=diamond, label=\"MINUS\"];\n" child);
+          let inner_id = emit buf ~prefix (0 :: child_path) inner in
           Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" child inner_id)
       | Be_tree.Group inner ->
-          let inner_id = emit buf ~prefix ~highlight (0 :: child_path) inner in
+          let inner_id = emit buf ~prefix (0 :: child_path) inner in
           Buffer.add_string buf
-            (Printf.sprintf "  %s [shape=box, label=\"{ }\"%s];\n" child fill);
+            (Printf.sprintf "  %s [shape=box, label=\"{ }\"];\n" child);
           Buffer.add_string buf (Printf.sprintf "  %s -> %s;\n" child inner_id));
       Buffer.add_string buf
         (Printf.sprintf "  %s -> %s [label=\"%d\"];\n" self child i))
     g.Be_tree.children;
   self
 
-let to_dot ?(highlight = []) g =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "digraph betree {\n  rankdir=TB;\n  node [fontname=\"monospace\", fontsize=10];\n";
-  ignore (emit buf ~prefix:"n" ~highlight [ 0 ] g);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let pair_to_dot ~before ~after =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "digraph betree_pair {\n  rankdir=TB;\n  node [fontname=\"monospace\", fontsize=10];\n";
   Buffer.add_string buf "  subgraph cluster_before {\n    label=\"before transformation\";\n";
-  ignore (emit buf ~prefix:"b" ~highlight:[] [ 0 ] before);
+  ignore (emit buf ~prefix:"b" [ 0 ] before);
   Buffer.add_string buf "  }\n";
   Buffer.add_string buf "  subgraph cluster_after {\n    label=\"after transformation\";\n";
-  ignore (emit buf ~prefix:"a" ~highlight:[] [ 0 ] after);
+  ignore (emit buf ~prefix:"a" [ 0 ] after);
   Buffer.add_string buf "  }\n}\n";
   Buffer.contents buf

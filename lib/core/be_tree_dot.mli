@@ -2,11 +2,6 @@
     their triple patterns, so before/after transformation plans can be
     inspected visually ([dot -Tsvg plan.dot > plan.svg]). *)
 
-(** [to_dot ?highlight g] — a complete [digraph]. Nodes whose index path
-    appears in [highlight] are drawn filled (used to mark nodes a
-    transformation touched). *)
-val to_dot : ?highlight:int list list -> Be_tree.group -> string
-
 (** [pair_to_dot ~before ~after] — both trees side by side in one digraph,
     labeled as two clusters. *)
 val pair_to_dot : before:Be_tree.group -> after:Be_tree.group -> string

@@ -24,6 +24,7 @@ type stats = {
   nodes : node_report list;
   replans : int;
   prefilter : Engine.Candidates.counters;
+  sched : Engine.Pool.counters;
 }
 
 (* The running counters are atomics: parallel UNION branches update them
@@ -307,6 +308,10 @@ let make_state env ~threshold ~adaptive ~feedback =
     bgp_evals = Atomic.make 0; pruned_bgps = Atomic.make 0;
     replans = Atomic.make 0; nodes = ref []; nodes_mutex = Mutex.create () }
 
+(* The pool as the fan-out of the streaming joins' probe side; [None]
+   (serial) at one domain. *)
+let bag_runner st = Option.map Engine.Pool.bag_runner (Engine.Bgp_eval.pool st.env)
+
 (* A materialized intermediate: what [produce] emits, collected into a
    fresh bag. Returns the bag and [produce]'s join-space factor. *)
 let collect st produce =
@@ -423,7 +428,7 @@ and combine_into st ~cands ~forced r node ~sink =
         | None -> produce ~sink
         | Some r0 ->
             let bag, js = collect st produce in
-            Sparql.Bag.join_into r0 bag ~sink;
+            Sparql.Bag.join_into ?pool:(bag_runner st) r0 bag ~sink;
             js
       in
       match node with
@@ -493,7 +498,9 @@ and combine_into st ~cands ~forced r node ~sink =
             };
           let left = Option.value r ~default:(Sparql.Bag.unit ~width) in
           (match node with
-          | Be_tree.Optional _ -> Sparql.Bag.left_outer_join_into left bag ~sink
+          | Be_tree.Optional _ ->
+              Sparql.Bag.left_outer_join_into ?pool:(bag_runner st) left bag
+                ~sink
           | _ -> Sparql.Bag.sparql_minus_into left bag ~sink);
           Float.max inner_js 1.)
 
@@ -534,35 +541,41 @@ and eval_group_into st (g : Be_tree.group) ~cands ~forced ~sink : float =
       in
       js *. combine_into st ~cands ~forced r last ~sink
 
-(* [total_rows] is the delta of the ambient governor ticket's produced-row
-   counter across the evaluation (a snapshot, not a reset: the counter
-   belongs to the whole execution, and nested or back-to-back evaluations
-   under one ticket must not clobber each other). *)
-let finish_stats st ~base_pushed ~join_space ~stages =
+(* [total_rows] and the engine counters are deltas of the ambient
+   governor ticket's counters across the evaluation (snapshots, not
+   resets: the counters belong to the whole execution, and nested or
+   back-to-back evaluations under one ticket must not clobber each
+   other). *)
+let finish_stats st gov ~base_pushed ~base_counts ~join_space ~stages =
+  let counts =
+    Sparql.Governor.diff (Sparql.Governor.counts gov) base_counts
+  in
   {
     join_space;
     peak_rows = Atomic.get st.peak_rows;
-    total_rows = Sparql.Governor.pushed (Sparql.Governor.current ()) - base_pushed;
+    total_rows = Sparql.Governor.pushed gov - base_pushed;
     bgp_evals = Atomic.get st.bgp_evals;
     pruned_bgps = Atomic.get st.pruned_bgps;
-    isect = Engine.Intersect.read ();
+    isect = Engine.Intersect.of_counts counts;
     stages;
     nodes = List.rev !(st.nodes);
     replans = Atomic.get st.replans;
-    prefilter = Engine.Candidates.read_counters ();
+    prefilter = Engine.Candidates.of_counts counts;
+    sched = Engine.Pool.of_counts counts;
   }
 
 let eval_into ?(adaptive = false) ?feedback env ~threshold ~sink tree =
   let st = make_state env ~threshold ~adaptive ~feedback in
-  let base_pushed = Sparql.Governor.pushed (Sparql.Governor.current ()) in
-  Engine.Intersect.reset ();
-  Engine.Candidates.reset_counters ();
+  let gov = Sparql.Governor.current () in
+  let base_pushed = Sparql.Governor.pushed gov in
+  let base_counts = Sparql.Governor.counts gov in
   let join_space =
     try eval_group_into st tree ~cands:Engine.Candidates.empty ~forced:[] ~sink
     with Sparql.Sink.Stop -> 1.
   in
   Sparql.Sink.close sink;
-  finish_stats st ~base_pushed ~join_space ~stages:(Sparql.Sink.stages sink)
+  finish_stats st gov ~base_pushed ~base_counts ~join_space
+    ~stages:(Sparql.Sink.stages sink)
 
 let eval ?adaptive ?feedback env ~threshold tree =
   let bag = Sparql.Bag.create ~width:(Engine.Bgp_eval.width env) in

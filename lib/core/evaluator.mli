@@ -73,8 +73,10 @@ type stats = {
           branches may interleave); empty unless adaptive *)
   replans : int;  (** nodes whose estimate was off by ≥ 10x *)
   prefilter : Engine.Candidates.counters;
-      (** candidate membership tests / rejects during this evaluation
-          (exact in serial runs, approximate under parallel domains) *)
+      (** candidate membership tests / rejects during this evaluation *)
+  sched : Engine.Pool.counters;
+      (** morsels, steals and early stops the domain pool ran for this
+          evaluation (zero at one domain) *)
 }
 
 (** [eval_into ?adaptive ?feedback env ~threshold ~sink tree] runs

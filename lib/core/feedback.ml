@@ -37,5 +37,3 @@ let card t patterns ~default =
   match find t patterns with Some c -> c | None -> default
 
 let length t = with_lock t (fun () -> Hashtbl.length t.tbl)
-
-let clear t = with_lock t (fun () -> Hashtbl.reset t.tbl)

@@ -24,5 +24,3 @@ val card : t -> Sparql.Triple_pattern.t list -> default:float -> float
 
 (** [length t] — number of BGPs with a recorded observation. *)
 val length : t -> int
-
-val clear : t -> unit

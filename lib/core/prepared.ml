@@ -427,11 +427,6 @@ let execute ?(domains = 1) ?(adaptive = true) ?feedback ?row_budget ?timeout_ms
     | None -> ticket ?row_budget ?timeout_ms ()
   in
   let t1 = now_ms () in
-  (* Bag's probe-side morselization routes through the global pool only
-     while a parallel query runs; serial queries keep the historical
-     operators. *)
-  if domains > 1 then Engine.Pool.enable_bag_runner ()
-  else Engine.Pool.disable_bag_runner ();
   let width = Engine.Bgp_eval.width env in
   (* The terminal bag, kept so a killed run can surface the rows that
      fully traversed the pipeline before the limit fired (exact prefix
@@ -467,17 +462,11 @@ let execute ?(domains = 1) ?(adaptive = true) ?feedback ?row_budget ?timeout_ms
     in
     Evaluator.eval_into ~adaptive ?feedback env ~threshold ~sink p.p_tree_after
   in
-  (* [Fun.protect]: an engine exception (or a [Stop] leak) must not leave
-     the bag runner enabled for the next query on this process; the
-     resource limits themselves die with the ticket scope. The [Kill]
-     carries its cause directly — no more inferring timeout-vs-budget
-     from elapsed time. *)
+  (* The resource limits die with the ticket scope; a [Kill] carries its
+     cause. *)
   let outcome =
-    Fun.protect
-      ~finally:(fun () -> Engine.Pool.disable_bag_runner ())
-      (fun () ->
-        try Ok (Sparql.Governor.with_ticket gov evaluate)
-        with Sparql.Governor.Kill f -> Error f)
+    try Ok (Sparql.Governor.with_ticket gov evaluate)
+    with Sparql.Governor.Kill f -> Error f
   in
   let exec_ms = now_ms () -. t1 in
   let bag, eval_stats, partial_marker =

@@ -217,6 +217,12 @@ let delta_cost env ~pruned before after =
   Cost_model.two_level_cost ~pruned env after
   -. Cost_model.two_level_cost ~pruned env before
 
+(* Algorithm 2: for each BGP child, pick the sibling UNION whose merge has
+   the most negative Δ-cost (if any), else try each OPTIONAL to the right
+   for inject, keeping each inject whose Δ-cost is negative. With
+   [skip_cp_equivalent] (the Full mode of Section 6), transformations
+   whose effect is equivalent to candidate pruning — the BGP is the only
+   pattern to the left of the target — are skipped. *)
 let single_level env ?(skip_cp_equivalent = false) (g : Be_tree.group) =
   let current = ref g in
   let n = List.length g.children in

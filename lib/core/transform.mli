@@ -38,16 +38,6 @@ val apply_inject : Be_tree.group -> p1:int -> opt:int -> Be_tree.group
 
 (** {1 Cost-driven drivers} *)
 
-(** [single_level env ?skip_cp_equivalent g] — Algorithm 2: for each BGP
-    child, pick the sibling UNION whose merge has the most negative Δ-cost
-    (if any), else try each OPTIONAL to the right for inject, keeping each
-    inject whose Δ-cost is negative. With [skip_cp_equivalent] (the Full
-    mode of Section 6), transformations whose effect is equivalent to
-    candidate pruning — the BGP is the only pattern to the left of the
-    target — are skipped. Default [false]. *)
-val single_level :
-  Engine.Bgp_eval.t -> ?skip_cp_equivalent:bool -> Be_tree.group -> Be_tree.group
-
 (** [multi_level env ?skip_cp_equivalent g] — Algorithm 4: greedy
     post-order traversal; lower levels are transformed before their
     parents. *)

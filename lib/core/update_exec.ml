@@ -1,15 +1,3 @@
-(* Current triples of a store, decoded. *)
-let all_triples store =
-  let acc = ref [] in
-  Rdf_store.Triple_store.iter_all store ~f:(fun ~s ~p ~o ->
-      acc :=
-        Rdf.Triple.make
-          (Rdf_store.Triple_store.decode_term store s)
-          (Rdf_store.Triple_store.decode_term store p)
-          (Rdf_store.Triple_store.decode_term store o)
-        :: !acc);
-  !acc
-
 (* Instantiate a template triple pattern against one solution row;
    [None] when non-ground or invalid. *)
 let instantiate ~decode vartable row (tp : Sparql.Triple_pattern.t) =
@@ -49,15 +37,6 @@ let instantiate_bag ~decode vartable bag templates =
           | None -> acc)
         acc templates)
 
-(* Every solution of [where], instantiated against [templates]. *)
-let instantiations ?engine store (where : Sparql.Ast.group) templates =
-  let report = Executor.run_query ?engine store (where_query where) in
-  match report.Executor.bag with
-  | None -> []
-  | Some bag ->
-      let decode = Rdf_store.Triple_store.decode_term store in
-      instantiate_bag ~decode report.Executor.vartable bag templates
-
 (* All triple patterns of a group, recursively — DELETE WHERE treats the
    whole pattern as its template. *)
 let rec group_patterns (g : Sparql.Ast.group) =
@@ -70,36 +49,6 @@ let rec group_patterns (g : Sparql.Ast.group) =
       | Sparql.Ast.Union gs -> List.concat_map group_patterns gs
       | Sparql.Ast.Filter _ | Sparql.Ast.Values _ -> [])
     g
-
-let rebuild_with store ~removed ~added =
-  let remaining =
-    List.filter
-      (fun t -> not (List.exists (Rdf.Triple.equal t) removed))
-      (all_triples store)
-  in
-  Rdf_store.Triple_store.of_triples (List.rev_append added remaining)
-
-let apply ?engine store (update : Sparql.Ast.update) =
-  match update with
-  | Sparql.Ast.Insert_data triples ->
-      rebuild_with store ~removed:[] ~added:triples
-  | Sparql.Ast.Delete_data triples ->
-      rebuild_with store ~removed:triples ~added:[]
-  | Sparql.Ast.Delete_where where ->
-      let removed = instantiations ?engine store where (group_patterns where) in
-      rebuild_with store ~removed ~added:[]
-  | Sparql.Ast.Modify { delete; insert; where } ->
-      let removed = instantiations ?engine store where delete in
-      let added = instantiations ?engine store where insert in
-      rebuild_with store ~removed ~added
-
-let apply_all ?engine store updates =
-  List.fold_left (fun store update -> apply ?engine store update) store updates
-
-let run ?engine store text =
-  apply_all ?engine store (Sparql.Parser.parse_update text)
-
-(* --- Session-threaded updates ------------------------------------------- *)
 
 (* WHERE clauses of session updates run through the session plan cache
    under a synthetic key derived from the group's structure (the AST is

@@ -1,54 +1,21 @@
 (** Applying SPARQL 1.1 Update operations.
 
-    Two execution paths:
-
-    - {b Bulk rebuild} ({!apply}, {!apply_all}, {!run}): the plain-store
-      path — each application returns a *new* store with the indexes
-      rebuilt from scratch. Appropriate for one-shot batch loads.
-    - {b Transactional} ({!apply_session}, {!run_session}): the serving
-      path — each operation buffers its writes in an MVCC transaction on
-      the session's store lineage and commits them atomically as a delta.
-      Concurrent readers holding a pre-commit snapshot are untouched; no
-      index rebuild, no plan-cache flush.
+    One operation = one transaction: each operation buffers its writes in
+    an MVCC transaction on the session's store lineage and commits them
+    atomically as a delta ({!Session.commit}). Concurrent readers holding
+    a pre-commit snapshot are untouched; no index rebuild, no plan-cache
+    flush. The WHERE clause is evaluated once against the pre-update
+    snapshot; DELETE and INSERT templates are instantiated from that same
+    evaluation. Within a [Modify], deletes fold before inserts. Sequenced
+    operations ({!run_session}) each see their predecessors' committed
+    effects.
 
     WHERE clauses are evaluated through the full SPARQL-UO optimizer
-    (mode [Full]); on the session path they additionally run through the
-    session's plan cache (keyed by a structural fingerprint of the WHERE
-    group), so a repeated update shape re-plans nothing. Templates are
-    instantiated per solution, dropping instantiations that are
-    non-ground or structurally invalid (literal subject/predicate), per
-    the SPARQL Update spec. *)
-
-(** [apply store update] — one operation, bulk-rebuild semantics. *)
-val apply :
-  ?engine:Engine.Bgp_eval.engine ->
-  Rdf_store.Triple_store.t ->
-  Sparql.Ast.update ->
-  Rdf_store.Triple_store.t
-
-(** [apply_all store updates] — a sequence, left to right (each operation
-    sees its predecessors' effects). *)
-val apply_all :
-  ?engine:Engine.Bgp_eval.engine ->
-  Rdf_store.Triple_store.t ->
-  Sparql.Ast.update list ->
-  Rdf_store.Triple_store.t
-
-(** [run store text] parses and applies an update string. *)
-val run :
-  ?engine:Engine.Bgp_eval.engine ->
-  Rdf_store.Triple_store.t ->
-  string ->
-  Rdf_store.Triple_store.t
-
-(** {1 Session-threaded (transactional) updates}
-
-    One operation = one transaction. The WHERE clause is evaluated once
-    against the pre-update snapshot; DELETE and INSERT templates are
-    instantiated from that same evaluation, and the writes publish
-    atomically ({!Session.commit}). Within a [Modify], deletes fold
-    before inserts. Sequenced operations ({!run_session}) each see their
-    predecessors' committed effects.
+    (mode [Full]) and the session's plan cache (keyed by a structural
+    fingerprint of the WHERE group), so a repeated update shape re-plans
+    nothing. Templates are instantiated per solution, dropping
+    instantiations that are non-ground or structurally invalid (literal
+    subject/predicate), per the SPARQL Update spec.
 
     On a durable session ({!Session.open_dir}) each commit is appended
     to the write-ahead log before it publishes and made durable per the

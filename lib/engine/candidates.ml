@@ -126,26 +126,23 @@ let of_two_bound store (c : Compiled.t) =
       Some (col, of_view ~universe (view (Some s) (Some p) None))
   | _ -> None
 
-(* Membership-test telemetry for prefilter hit rates: [checks] counts
-   candidate-set consultations during scans, [rejects] the rows filtered
-   out. Plain (racy) counters: under parallel domains an increment may be
-   lost, which telemetry tolerates; serial runs are exact. *)
-let checks = ref 0
-let rejects = ref 0
-
+(* Membership-test telemetry for prefilter hit rates, charged to the
+   scanning execution's ticket: [Prefilter_checks] counts candidate-set
+   consultations during scans, [Prefilter_rejects] the rows filtered
+   out. *)
 type counters = { checks : int; rejects : int }
 
-let reset_counters () =
-  checks := 0;
-  rejects := 0
-
-let read_counters () = { checks = !checks; rejects = !rejects }
+let of_counts c =
+  {
+    checks = Sparql.Governor.get c Prefilter_checks;
+    rejects = Sparql.Governor.get c Prefilter_rejects;
+  }
 
 (* [noted_mem] is {!mem} plus counting — the membership test scans use. *)
-let noted_mem set id =
-  incr checks;
+let noted_mem gov set id =
+  Sparql.Governor.count gov Prefilter_checks 1;
   let ok = mem set id in
-  if not ok then incr rejects;
+  if not ok then Sparql.Governor.count gov Prefilter_rejects 1;
   ok
 
 let empty = []
@@ -154,10 +151,10 @@ let set cands ~col s = (col, s) :: List.filter (fun (c, _) -> c <> col) cands
 
 let find cands ~col = List.assoc_opt col cands
 
-let allows cands ~col value =
+let allows gov cands ~col value =
   match List.assoc_opt col cands with
   | None -> true
-  | Some s -> noted_mem s value
+  | Some s -> noted_mem gov s value
 
 let is_empty = function [] -> true | _ :: _ -> false
 

@@ -22,12 +22,6 @@ val of_hashtbl : universe:int -> (int, unit) Hashtbl.t -> set
     copying. The caller is responsible for sortedness. *)
 val of_sorted_array : int array -> set
 
-(** [of_view ~universe view] builds a set from an {!Rdf_store.Index.view}
-    — the sorted, duplicate-free third column of a pattern with two
-    bound positions, read sequentially off the compressed index blocks.
-    Representation chosen by the same density rule as {!of_hashtbl}. *)
-val of_view : universe:int -> Rdf_store.Index.view -> set
-
 (** [of_two_bound store c] — the LBR-style index-level prefilter: for a
     compiled pattern with exactly two bound positions, the exact value
     set of its single variable column, built straight off the store's
@@ -47,18 +41,18 @@ val iter_values : set -> f:(int -> unit) -> unit
     treat a sparse candidate set as just another sorted operand. *)
 val as_sorted : set -> int array option
 
-(** [noted_mem set id] — {!mem}, plus prefilter telemetry: bumps the
-    global check counter, and the reject counter when the test fails.
-    Scans use this (directly, or via {!allows}) so hit rates are
-    observable. Counters are plain racy ints: exact in serial runs,
-    approximate under parallel domains. *)
-val noted_mem : set -> int -> bool
+(** [noted_mem gov set id] — {!mem}, plus prefilter telemetry: counts a
+    check on the ticket [gov], and a reject when the test fails. Scans
+    use this (directly, or via {!allows}) so hit rates are observable;
+    they fetch [gov] once per scan, not per test. *)
+val noted_mem : Sparql.Governor.t -> set -> int -> bool
 
+(** Prefilter membership tests and rejects, as charged to one
+    execution's ticket. *)
 type counters = { checks : int; rejects : int }
 
-val reset_counters : unit -> unit
-
-val read_counters : unit -> counters
+(** [of_counts c] reads the prefilter counters out of a ticket snapshot. *)
+val of_counts : Sparql.Governor.counts -> counters
 
 val empty : t
 
@@ -67,9 +61,10 @@ val set : t -> col:int -> set -> t
 
 val find : t -> col:int -> set option
 
-(** [allows cands ~col value] is false only when [col] has a candidate set
-    that does not contain [value]. *)
-val allows : t -> col:int -> int -> bool
+(** [allows gov cands ~col value] is false only when [col] has a
+    candidate set that does not contain [value]; the test is counted on
+    [gov] as {!noted_mem} does. *)
+val allows : Sparql.Governor.t -> t -> col:int -> int -> bool
 
 val is_empty : t -> bool
 

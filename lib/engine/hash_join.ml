@@ -4,6 +4,7 @@ let scan_iter store ~width pattern ~candidates ~f =
   (* Chaos site: every pattern scan of the hash engine (and LBR's pass 0)
      enters here. *)
   Sparql.Governor.failpoint "scan";
+  let gov = Sparql.Governor.current () in
   let empty = Sparql.Binding.create ~width in
   Compiled.iter_matches store pattern empty ~f:(fun ~s ~p ~o ->
       let fresh = Sparql.Binding.create ~width in
@@ -11,7 +12,7 @@ let scan_iter store ~width pattern ~candidates ~f =
       let bind node value =
         match node with
         | Compiled.Cvar col ->
-            if not (Candidates.allows candidates ~col value) then
+            if not (Candidates.allows gov candidates ~col value) then
               consistent := false
             else if fresh.(col) = Sparql.Binding.unbound then
               fresh.(col) <- value
@@ -60,13 +61,17 @@ let eval_into ?pool store ~width (plan : Planner.plan) ~candidates ~sink =
   match List.rev plan.steps with
   | [] -> Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width)
   | last :: rev_prefix ->
+      let runner = Option.map Pool.bag_runner pool in
       let acc =
         List.fold_left
           (fun acc (step : Planner.step) ->
             let scanned =
               scan_pattern store ~width step.Planner.pattern ~candidates
             in
-            Sparql.Bag.join acc scanned)
+            let joined = Sparql.Bag.create ~width in
+            Sparql.Bag.join_into ?pool:runner acc scanned
+              ~sink:(Sparql.Bag.sink joined);
+            joined)
           (Sparql.Bag.unit ~width) (List.rev rev_prefix)
       in
       let probe_cols = pattern_cols last.Planner.pattern in

@@ -28,15 +28,6 @@ let src_get s i =
    locality wins. *)
 let gallop_ratio = 4
 
-(* Process-global counters, read by explain output and the bench harness.
-   Relaxed atomics: the numbers are diagnostics, approximate under
-   concurrent queries is fine. *)
-let n_intersections = Atomic.make 0
-let n_gallop = Atomic.make 0
-let n_merge = Atomic.make 0
-let n_domain_values = Atomic.make 0
-let n_operands = Atomic.make 0
-
 type counters = {
   intersections : int;  (** multiway intersections performed *)
   gallop_passes : int;  (** two-way passes that galloped *)
@@ -45,20 +36,14 @@ type counters = {
   operands : int;  (** total operands consumed (views + sorted sets) *)
 }
 
-let reset () =
-  Atomic.set n_intersections 0;
-  Atomic.set n_gallop 0;
-  Atomic.set n_merge 0;
-  Atomic.set n_domain_values 0;
-  Atomic.set n_operands 0
-
-let read () =
+let of_counts c =
+  let get = Sparql.Governor.get c in
   {
-    intersections = Atomic.get n_intersections;
-    gallop_passes = Atomic.get n_gallop;
-    merge_passes = Atomic.get n_merge;
-    domain_values = Atomic.get n_domain_values;
-    operands = Atomic.get n_operands;
+    intersections = get Intersections;
+    gallop_passes = get Gallop_passes;
+    merge_passes = get Merge_passes;
+    domain_values = get Domain_values;
+    operands = get Operands;
   }
 
 (* First index [j >= lo] with [src_get src j >= v]. Index views answer
@@ -90,11 +75,11 @@ let gallop_search src m v lo =
 (* Intersect the sorted prefix [buf.(0..n-1)] with [src], writing the
    result back into the front of [buf]; returns the new count. Writes trail
    reads, so in-place is safe. *)
-let intersect_into buf n src =
+let intersect_into ~gov buf n src =
   let m = src_length src in
   if n = 0 || m = 0 then 0
   else if m > gallop_ratio * n then begin
-    Atomic.incr n_gallop;
+    Sparql.Governor.count gov Gallop_passes 1;
     let k = ref 0 and pos = ref 0 in
     for i = 0 to n - 1 do
       let v = Array.unsafe_get buf i in
@@ -108,7 +93,7 @@ let intersect_into buf n src =
     !k
   end
   else begin
-    Atomic.incr n_merge;
+    Sparql.Governor.count gov Merge_passes 1;
     let k = ref 0 and i = ref 0 and j = ref 0 in
     while !i < n && !j < m do
       let a = Array.unsafe_get buf !i and b = src_get src !j in
@@ -128,13 +113,14 @@ let ensure_capacity buf n =
   if Array.length !buf < n then
     buf := Array.make (max n (2 * Array.length !buf)) 0
 
-(* [multiway ~buf srcs ~filters] intersects all of [srcs], keeping only
+(* [multiway ~gov ~buf srcs ~filters] intersects all of [srcs], keeping only
    values accepted by every predicate in [filters] (dense candidate
    bitsets; applied to the smallest operand before any merging so they
    shrink the work for every later pass). The result lands in the front of
-   [!buf]; returns its length. [srcs] must be non-empty. *)
-let multiway ~buf srcs ~filters =
-  Atomic.incr n_intersections;
+   [!buf]; returns its length. [srcs] must be non-empty. Kernel activity
+   is counted on [gov]. *)
+let multiway ~gov ~buf srcs ~filters =
+  Sparql.Governor.count gov Intersections 1;
   let srcs =
     List.sort (fun a b -> Int.compare (src_length a) (src_length b)) srcs
   in
@@ -159,14 +145,19 @@ let multiway ~buf srcs ~filters =
               incr n
             end
           done);
-      List.iter (fun src -> n := intersect_into b !n src) rest;
-      ignore
-        (Atomic.fetch_and_add n_operands (List.length srcs + List.length filters));
-      ignore (Atomic.fetch_and_add n_domain_values !n);
+      List.iter (fun src -> n := intersect_into ~gov b !n src) rest;
+      Sparql.Governor.count gov Operands
+        (List.length srcs + List.length filters);
+      Sparql.Governor.count gov Domain_values !n;
       !n
 
-(* Convenience wrapper over plain arrays, for tests and micro-benchmarks. *)
+(* Convenience wrapper over plain arrays, for tests and micro-benchmarks;
+   counts on the ambient ticket. *)
 let arrays operands =
   let buf = ref [||] in
-  let n = multiway ~buf (List.map (fun a -> Values a) operands) ~filters:[] in
+  let n =
+    multiway ~gov:(Sparql.Governor.current ()) ~buf
+      (List.map (fun a -> Values a) operands)
+      ~filters:[]
+  in
   Array.sub !buf 0 n

@@ -12,27 +12,28 @@ type src =
   | View of Rdf_store.Index.view  (** sorted third-column index slice *)
   | Values of int array  (** strictly increasing array *)
 
-val src_length : src -> int
-
-(** The size ratio above which a pass gallops instead of merging (4). *)
-val gallop_ratio : int
-
-(** [multiway ~buf srcs ~filters] intersects all operands in [srcs],
+(** [multiway ~gov ~buf srcs ~filters] intersects all operands in [srcs],
     dropping values rejected by any predicate in [filters] (dense candidate
     bitsets fold in here, one load+mask per probe, applied to the smallest
     operand before any merge pass). The result is written to the front of
     [!buf] — grown as needed, reusable across calls — and its length
-    returned. [srcs] must be non-empty. *)
-val multiway : buf:int array ref -> src list -> filters:(int -> bool) list -> int
+    returned. [srcs] must be non-empty. The kernel's activity is counted
+    on [gov], the ticket of the execution it works for. *)
+val multiway :
+  gov:Sparql.Governor.t ->
+  buf:int array ref ->
+  src list ->
+  filters:(int -> bool) list ->
+  int
 
-(** [arrays operands] is [multiway] over plain sorted arrays, returning a
-    fresh exactly-sized result. For tests and micro-benchmarks. *)
+(** [arrays operands] is [multiway] over plain sorted arrays under the
+    ambient ticket, returning a fresh exactly-sized result. For tests and
+    micro-benchmarks. *)
 val arrays : int array list -> int array
 
 (** {1 Instrumentation}
 
-    Process-global counters surfaced by [explain] and the bench harness.
-    Approximate under concurrent queries. *)
+    The kernel's counters, as charged to one execution's ticket. *)
 
 type counters = {
   intersections : int;  (** multiway intersections performed *)
@@ -42,5 +43,5 @@ type counters = {
   operands : int;  (** total operands consumed (views + sorted sets) *)
 }
 
-val reset : unit -> unit
-val read : unit -> counters
+(** [of_counts c] reads the kernel counters out of a ticket snapshot. *)
+val of_counts : Sparql.Governor.counts -> counters

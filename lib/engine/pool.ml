@@ -25,52 +25,31 @@
 
 (* {1 Morsel size} *)
 
-let default_morsel_size = 64
-let morsel_size_atomic = Atomic.make default_morsel_size
-
-let set_morsel_size n =
-  if n < 1 then invalid_arg "Pool.set_morsel_size: size must be >= 1";
-  Atomic.set morsel_size_atomic n
-
-let morsel_size () = Atomic.get morsel_size_atomic
+let morsel_size = 64
 
 (* {1 Scheduler counters}
 
-   Process-global observability for the bench harness: morsels executed,
-   successful steals (a morsel claimed from another slot's deque), and
-   jobs stopped early by a cross-domain [Stop]. *)
+   Charged to the ticket each job carries, so a query's report counts
+   the morsels executed for it, the morsels stolen from another slot's
+   deque, and its jobs stopped early by a cross-domain [Stop]. *)
 
 type counters = { morsels : int; steals : int; stops : int }
 
-let morsels_counter = Atomic.make 0
-let steals_counter = Atomic.make 0
-let stops_counter = Atomic.make 0
-
-let counters () =
+let of_counts c =
   {
-    morsels = Atomic.get morsels_counter;
-    steals = Atomic.get steals_counter;
-    stops = Atomic.get stops_counter;
+    morsels = Sparql.Governor.get c Morsels;
+    steals = Sparql.Governor.get c Steals;
+    stops = Sparql.Governor.get c Stops;
   }
-
-let reset_counters () =
-  Atomic.set morsels_counter 0;
-  Atomic.set steals_counter 0;
-  Atomic.set stops_counter 0
 
 (* {1 Agent identities}
 
-   Every domain that ever participates (pool workers, the main domain,
-   any nested submitter) gets a small process-unique id on first use;
-   jobs key per-agent state (accumulators, shard sinks, scratch) on it,
-   and [id mod num_slots] picks the agent's own deque. *)
+   Every domain that participates (pool workers, the main domain, any
+   nested submitter) is known by its process-unique domain id; jobs key
+   per-agent state (accumulators, shard sinks, scratch) on it, and
+   [id mod num_slots] picks the agent's own deque. *)
 
-let agent_counter = Atomic.make 0
-
-let agent_key : int Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Atomic.fetch_and_add agent_counter 1)
-
-let agent_id () = Domain.DLS.get agent_key
+let agent_id () = (Domain.self () :> int)
 
 (* {1 Morsel deques}
 
@@ -145,7 +124,7 @@ let num_domains pool = pool.num_domains
 (* About four steal targets per slot over a range of [n] indices, clamped
    so tiny ranges still spread and huge ranges amortize deque traffic. *)
 let adaptive_morsel pool ~n =
-  max 16 (min (morsel_size ()) (n / max 1 (4 * pool.num_domains)))
+  max 16 (min morsel_size (n / max 1 (4 * pool.num_domains)))
 
 (* Claim a morsel of [job] for [agent]: own deque front first, then sweep
    the other deques back-to-front. Returns the range and whether it was
@@ -170,10 +149,11 @@ let claim job ~agent =
    budget-independent kill conditions (cancellation, deadline) are
    checked at the boundary, so kill latency is bounded by one morsel of
    work even on domains that produce no rows. A stopped job's remaining
-   morsels fall through to the completion accounting untouched. *)
+   morsels fall through to the completion accounting untouched. The
+   scheduler counters are charged to the job's ticket. *)
 let run_morsel pool job ~agent ~stolen (lo, hi) =
-  if stolen then Atomic.incr steals_counter;
-  Atomic.incr morsels_counter;
+  if stolen then Sparql.Governor.count job.gov Steals 1;
+  Sparql.Governor.count job.gov Morsels 1;
   (if not (Atomic.get job.stop) then
      try
        Sparql.Governor.with_ticket job.gov (fun () ->
@@ -183,7 +163,7 @@ let run_morsel pool job ~agent ~stolen (lo, hi) =
      | Sparql.Sink.Stop ->
          Atomic.set job.stopped_early true;
          Atomic.set job.stop true;
-         Atomic.incr stops_counter
+         Sparql.Governor.count job.gov Stops 1
      | exn ->
          let bt = Printexc.get_raw_backtrace () in
          ignore (Atomic.compare_and_set job.failure None (Some (exn, bt)));
@@ -363,7 +343,7 @@ let accumulate pool ?morsel ~lo ~hi ~create ~body () =
     [ acc ]
   end
   else begin
-    let morsel = match morsel with Some m -> max 1 m | None -> morsel_size () in
+    let morsel = match morsel with Some m -> max 1 m | None -> morsel_size in
     let acc_for, all_accs = per_agent create in
     let exec ~agent ~lo ~hi =
       let acc = acc_for agent in
@@ -404,7 +384,7 @@ let stream pool ?morsel ~lo ~hi ~sink ~local ~body () =
   let n = hi - lo in
   if n <= 0 then ()
   else
-    let morsel = match morsel with Some m -> max 1 m | None -> morsel_size () in
+    let morsel = match morsel with Some m -> max 1 m | None -> morsel_size in
     let serial () =
       let gov = Sparql.Governor.current () in
       let scratch = local () in
@@ -464,30 +444,14 @@ let ensure ~num_domains =
   Mutex.unlock global_mutex;
   !global_pool
 
-let global () = !global_pool
-
-(* Route [Sparql.Bag]'s probe-side morselization through the global pool.
-   The executor enables this only while a [domains > 1] query runs, so
-   library users and the tier-1 tests keep the serial operators (and
-   their exact result order) by default. *)
-let enable_bag_runner () =
-  match !global_pool with
-  | None -> Sparql.Bag.set_parallel_runner None
-  | Some pool ->
-      Sparql.Bag.set_parallel_runner
-        (Some
-           {
-             Sparql.Bag.run =
-               (fun ~n ~create ~body -> accumulate pool ~lo:0 ~hi:n ~create ~body ());
-             run_stream =
-               (fun ~n ~sink ~body ->
-                 stream pool ~lo:0 ~hi:n ~sink
-                   ~local:(fun () -> ())
-                   ~body:(fun () shard i -> body shard i)
-                   ());
-           })
-
-let disable_bag_runner () = Sparql.Bag.set_parallel_runner None
+(* The pool as [Sparql.Bag]'s fan-out for the probe side of the streaming
+   joins: each agent emits into its own shard of the sink. *)
+let bag_runner pool : Sparql.Bag.runner =
+ fun ~n ~sink ~body ->
+  stream pool ~lo:0 ~hi:n ~sink
+    ~local:(fun () -> ())
+    ~body:(fun () shard i -> body shard i)
+    ()
 
 (* Hand the pool to the store layer as its bulk-load runner: index
    builds (six per-order sort/encode tasks, one morsel each) fan out

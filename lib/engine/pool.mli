@@ -23,32 +23,26 @@ val shutdown : t -> unit
 
 val num_domains : t -> int
 
-(** {1 Morsel size}
-
-    The process-wide default number of indices per morsel (the [--morsel-size]
-    CLI knob). Smaller morsels tighten early-termination and kill latency
-    and smooth imbalance; larger morsels amortize scheduling. *)
-
-val default_morsel_size : int
-val set_morsel_size : int -> unit
-val morsel_size : unit -> int
+(** The number of indices per morsel (64) when a loop does not pass its
+    own. *)
+val morsel_size : int
 
 (** [adaptive_morsel pool ~n] picks a morsel size for a range of [n]
     cheap uniform indices (e.g. materializing rows from an intersected
-    extension domain): the configured size, reduced for small ranges so
+    extension domain): {!morsel_size}, reduced for small ranges so
     they still spread across slots (clamped to at least 16). *)
 val adaptive_morsel : t -> n:int -> int
 
 (** {1 Scheduler counters} *)
 
-(** Process-global observability: [morsels] executed, successful [steals]
-    (a morsel claimed from another slot's deque), and [stops] (jobs ended
-    early by a cross-domain [Stop]). The bench harness resets and samples
-    these around timed runs. *)
+(** [morsels] executed, successful [steals] (a morsel claimed from
+    another slot's deque), and [stops] (jobs ended early by a
+    cross-domain [Stop]), as charged to one execution's ticket: every
+    job charges the ticket it carries. *)
 type counters = { morsels : int; steals : int; stops : int }
 
-val counters : unit -> counters
-val reset_counters : unit -> unit
+(** [of_counts c] reads the scheduler counters out of a ticket snapshot. *)
+val of_counts : Sparql.Governor.counts -> counters
 
 (** {1 Parallel loops} *)
 
@@ -75,10 +69,6 @@ val accumulate :
   unit ->
   'acc list
 
-(** [parallel_iter pool ~lo ~hi f] — [f i] for every [lo <= i < hi], in
-    parallel. [f] must be safe to call from any domain. *)
-val parallel_iter : t -> ?morsel:int -> lo:int -> hi:int -> (int -> unit) -> unit
-
 (** [parallel_map pool ~lo ~hi f] — the array [| f lo; ...; f (hi-1) |],
     computed in parallel. *)
 val parallel_map : t -> ?morsel:int -> lo:int -> hi:int -> (int -> 'a) -> 'a array
@@ -104,31 +94,23 @@ val stream :
   unit ->
   unit
 
-(** {1 The process-global pool}
+(** {1 The shared pool}
 
     One pool backs the executor's [~domains] knob; it is resized lazily and
     reused across queries (worker domains are expensive to spawn per
-    query). *)
+    query). Queries share its domains, not its counters: each job charges
+    its own ticket. *)
 
-(** [ensure ~num_domains] returns the global pool, growing it if it is
+(** [ensure ~num_domains] returns the shared pool, growing it if it is
     smaller than [num_domains] (grow-only: a larger existing pool is
     reused as is, so a shrink request can never tear the workers out from
     under a concurrent query). [None] when [num_domains <= 1] and no pool
     exists yet. *)
 val ensure : num_domains:int -> t option
 
-val global : unit -> t option
-
-(** [enable_bag_runner ()] installs the global pool as [Sparql.Bag]'s
-    parallel runner, so the probe side of [Bag.join] /
-    [Bag.left_outer_join] / [Bag.minus] (and of [Bag.join_into] /
-    [Bag.left_outer_join_into], through shard sinks) is morselized
-    across domains.
-    [disable_bag_runner ()] restores the serial operators. The executor
-    brackets each [domains > 1] query with these. *)
-val enable_bag_runner : unit -> unit
-
-val disable_bag_runner : unit -> unit
+(** [bag_runner pool] — [pool] as the fan-out of [Sparql.Bag.join_into] /
+    [Sparql.Bag.left_outer_join_into] ({!stream} over the probe rows). *)
+val bag_runner : t -> Sparql.Bag.runner
 
 (** [install_bulk_runner pool] installs [pool] as the store layer's
     bulk-load runner ({!Rdf_store.Bulk}): the six per-order sort/encode

@@ -1,23 +1,23 @@
 (* The candidate check for a pattern position: a newly bound variable must
    pass its candidate set; constants and already-bound variables were
-   checked when they were bound. *)
-let node_allowed candidates row node value =
+   checked when they were bound. The test is counted on [gov]. *)
+let node_allowed gov candidates row node value =
   match node with
   | Compiled.Cvar col when row.(col) = Sparql.Binding.unbound ->
-      Candidates.allows candidates ~col value
+      Candidates.allows gov candidates ~col value
   | Compiled.Cvar _ | Compiled.Cterm _ | Compiled.Missing -> true
 
 (* Enumerate matches of [pattern] under [row] and emit consistent,
    candidate-passing extensions. Matches are bound into [scratch] (any row
    of the right width; clobbered) and copied only when they survive every
    check — failing matches cost no allocation. *)
-let scan_and_push store candidates pattern ~scratch row ~emit =
+let scan_and_push ~gov store candidates pattern ~scratch row ~emit =
   Array.blit row 0 scratch 0 (Array.length row);
   Compiled.iter_matches store pattern row ~f:(fun ~s ~p ~o ->
       if
-        node_allowed candidates row pattern.Compiled.cs s
-        && node_allowed candidates row pattern.Compiled.cp p
-        && node_allowed candidates row pattern.Compiled.co o
+        node_allowed gov candidates row pattern.Compiled.cs s
+        && node_allowed gov candidates row pattern.Compiled.cp p
+        && node_allowed gov candidates row pattern.Compiled.co o
       then begin
         let b1 = ref (-1) and b2 = ref (-1) and b3 = ref (-1) in
         let consistent = ref true in
@@ -93,7 +93,7 @@ let best_seed stats candidates row pattern =
    the in-kernel membership filter. *)
 let seed_probe_factor = 4
 
-let extend_row store stats candidates pattern ~scratch row ~emit =
+let extend_row ~gov store stats candidates pattern ~scratch row ~emit =
   match best_seed stats candidates row pattern with
   | Some (col, values)
     when seed_probe_factor * Candidates.cardinal values
@@ -101,8 +101,8 @@ let extend_row store stats candidates pattern ~scratch row ~emit =
       Candidates.iter_values values ~f:(fun value ->
           let seeded = Array.copy row in
           seeded.(col) <- value;
-          scan_and_push store candidates pattern ~scratch seeded ~emit)
-  | _ -> scan_and_push store candidates pattern ~scratch row ~emit
+          scan_and_push ~gov store candidates pattern ~scratch seeded ~emit)
+  | _ -> scan_and_push ~gov store candidates pattern ~scratch row ~emit
 
 (* Rows are extended independently, so a step parallelizes by morselizing
    the current bag across domains; each agent pushes into a thread-local
@@ -111,7 +111,8 @@ let extend_row store stats candidates pattern ~scratch row ~emit =
    is too small to amortize the fan-out. *)
 let min_parallel_rows = 32
 
-let eval_step ?pool store stats ~width candidates input (step : Planner.step) =
+let eval_step ?pool ~gov store stats ~width candidates input
+    (step : Planner.step) =
   (* Chaos site: every WCO scan step (materializing or not) enters here. *)
   Sparql.Governor.failpoint "scan";
   match pool with
@@ -121,17 +122,17 @@ let eval_step ?pool store stats ~width candidates input (step : Planner.step) =
            (Pool.accumulate pool ~lo:0
               ~hi:(Sparql.Bag.length input)
               ~create:(fun () ->
-                ( Sparql.Bag.create_sized ~capacity:(Pool.morsel_size ()) ~width,
+                ( Sparql.Bag.create_sized ~capacity:Pool.morsel_size ~width,
                   Sparql.Binding.create ~width ))
               ~body:(fun (out, scratch) i ->
-                extend_row store stats candidates step.pattern ~scratch
+                extend_row ~gov store stats candidates step.pattern ~scratch
                   (Sparql.Bag.get input i) ~emit:(Sparql.Bag.push out))
               ()))
   | _ ->
       let next = Sparql.Bag.create ~width in
       let scratch = Sparql.Binding.create ~width in
       Sparql.Bag.iter input ~f:(fun row ->
-          extend_row store stats candidates step.pattern ~scratch row
+          extend_row ~gov store stats candidates step.pattern ~scratch row
             ~emit:(Sparql.Bag.push next));
       next
 
@@ -155,25 +156,25 @@ let operand_of store row (pattern : Compiled.t) =
 (* How the extension column's candidate set (if any) joins the
    intersection: a sparse sorted set becomes one more operand; a dense
    bitset becomes a load+mask filter applied inside the kernel. *)
-let candidate_operands candidates ~col =
+let candidate_operands gov candidates ~col =
   match Candidates.find candidates ~col with
   | None -> ([], [])
   | Some set -> (
       match Candidates.as_sorted set with
       | Some arr -> ([ Intersect.Values arr ], [])
-      | None -> ([], [ Candidates.noted_mem set ]))
+      | None -> ([], [ Candidates.noted_mem gov set ]))
 
 (* Minimum intersected-domain size for which fanning the row
    materialization out across the pool beats the serial loop. *)
 let min_parallel_domain = 512
 
-let eval_extend ?pool store ~width candidates input ~col
+let eval_extend ?pool ~gov store ~width candidates input ~col
     (patterns : Compiled.t list) =
   (* Chaos site: every vertex-at-a-time extension step enters here. *)
   Sparql.Governor.failpoint "extend";
-  let extra, filters = candidate_operands candidates ~col in
+  let extra, filters = candidate_operands gov candidates ~col in
   let domain_into buf row =
-    Intersect.multiway ~buf
+    Intersect.multiway ~gov ~buf
       (extra @ List.map (operand_of store row) patterns)
       ~filters
   in
@@ -186,7 +187,7 @@ let eval_extend ?pool store ~width candidates input ~col
            (Pool.accumulate pool ~lo:0
               ~hi:(Sparql.Bag.length input)
               ~create:(fun () ->
-                (Sparql.Bag.create_sized ~capacity:(Pool.morsel_size ()) ~width, ref [||]))
+                (Sparql.Bag.create_sized ~capacity:Pool.morsel_size ~width, ref [||]))
               ~body:(fun (out, buf) i ->
                 let row = Sparql.Bag.get input i in
                 let n = domain_into buf row in
@@ -213,7 +214,7 @@ let eval_extend ?pool store ~width candidates input ~col
                 (Pool.accumulate pool
                    ~morsel:(Pool.adaptive_morsel pool ~n)
                    ~lo:0 ~hi:n
-                   ~create:(fun () -> Sparql.Bag.create_sized ~capacity:(Pool.morsel_size ()) ~width)
+                   ~create:(fun () -> Sparql.Bag.create_sized ~capacity:Pool.morsel_size ~width)
                    ~body:(fun out k ->
                      let fresh = Array.copy row in
                      fresh.(col) <- Array.unsafe_get b k;
@@ -243,10 +244,11 @@ let eval_extend ?pool store ~width candidates input ~col
           done);
       next
 
-let eval_vstep ?pool store stats ~width candidates input = function
-  | Planner.Scan step -> eval_step ?pool store stats ~width candidates input step
+let eval_vstep ?pool ~gov store stats ~width candidates input = function
+  | Planner.Scan step ->
+      eval_step ?pool ~gov store stats ~width candidates input step
   | Planner.Extend { col; steps } ->
-      eval_extend ?pool store ~width candidates input ~col
+      eval_extend ?pool ~gov store ~width candidates input ~col
         (List.map (fun (s : Planner.step) -> s.pattern) steps)
 
 (* The final step streams: every step but the last materializes (each
@@ -258,28 +260,29 @@ let eval_vstep ?pool store stats ~width candidates input = function
    cross-domain early termination, not a serial replay of worker bags.
    The serial terminal scan binds into a scratch row and copies only on
    emit. *)
-let stream_scan ?pool store stats ~width candidates input (step : Planner.step)
-    ~sink =
+let stream_scan ?pool ~gov store stats ~width candidates input
+    (step : Planner.step) ~sink =
   Sparql.Governor.failpoint "scan";
   match pool with
   | Some pool when Sparql.Bag.length input >= min_parallel_rows ->
       Pool.stream pool ~lo:0 ~hi:(Sparql.Bag.length input) ~sink
         ~local:(fun () -> Sparql.Binding.create ~width)
         ~body:(fun scratch shard i ->
-          extend_row store stats candidates step.pattern ~scratch
+          extend_row ~gov store stats candidates step.pattern ~scratch
             (Sparql.Bag.get input i) ~emit:(Sparql.Bag.emit_charged shard))
         ()
   | _ ->
       let scratch = Sparql.Binding.create ~width in
       Sparql.Bag.iter input ~f:(fun row ->
-          extend_row store stats candidates step.pattern ~scratch row
+          extend_row ~gov store stats candidates step.pattern ~scratch row
             ~emit:(Sparql.Bag.emit_accounted sink))
 
-let stream_extend ?pool store ~width candidates input ~col patterns ~sink =
+let stream_extend ?pool ~gov store ~width candidates input ~col patterns ~sink
+    =
   Sparql.Governor.failpoint "extend";
-  let extra, filters = candidate_operands candidates ~col in
+  let extra, filters = candidate_operands gov candidates ~col in
   let domain_into buf row =
-    Intersect.multiway ~buf
+    Intersect.multiway ~gov ~buf
       (extra @ List.map (operand_of store row) patterns)
       ~filters
   in
@@ -335,20 +338,25 @@ let stream_extend ?pool store ~width candidates input ~col patterns ~sink =
             Sparql.Bag.emit_accounted sink fresh
           done)
 
+(* The execution's ticket is fetched once here; every step, and every
+   morsel of a parallel step, counts its kernel and prefilter work on
+   it. *)
 let eval_into ?pool store ~stats ~width (plan : Planner.plan) ~candidates ~sink
     =
+  let gov = Sparql.Governor.current () in
   match List.rev plan.vsteps with
   | [] -> Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width)
   | last :: rev_prefix -> (
       let input =
         List.fold_left
-          (eval_vstep ?pool store stats ~width candidates)
+          (eval_vstep ?pool ~gov store stats ~width candidates)
           (Sparql.Bag.unit ~width) (List.rev rev_prefix)
       in
       match last with
       | Planner.Scan step ->
-          stream_scan ?pool store stats ~width candidates input step ~sink
+          stream_scan ?pool ~gov store stats ~width candidates input step
+            ~sink
       | Planner.Extend { col; steps } ->
-          stream_extend ?pool store ~width candidates input ~col
+          stream_extend ?pool ~gov store ~width candidates input ~col
             (List.map (fun (s : Planner.step) -> s.pattern) steps)
             ~sink)

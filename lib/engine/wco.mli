@@ -29,8 +29,10 @@
     so a downstream LIMIT can short-circuit the scan via [Sink.Stop]. An
     empty plan emits the single unit row. The serial terminal step binds
     matches into a reused scratch row and copies only on emit. Under a pool
-    the last step fans out into worker-local bags that are replayed
-    serially into the sink (Stop only ever unwinds serial code). *)
+    the last step emits into per-domain shards of the sink
+    ({!Pool.stream}), so a [Stop] in any shard stops the other domains at
+    their next morsel boundary. Kernel and prefilter work is counted on
+    the ambient governor ticket, fetched once per call. *)
 val eval_into :
   ?pool:Pool.t ->
   Rdf_store.Snapshot.t ->

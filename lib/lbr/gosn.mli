@@ -41,6 +41,4 @@ val pattern_count : t -> int
     queries outside it. *)
 val well_designed : Sparql.Ast.query -> bool
 
-val well_designed_group : Sparql.Ast.group -> bool
-
 val pp : Format.formatter -> t -> unit

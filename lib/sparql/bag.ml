@@ -88,8 +88,6 @@ let fold bag ~init ~f =
   iter bag ~f:(fun row -> acc := f !acc row);
   !acc
 
-let to_list bag = List.rev (fold bag ~init:[] ~f:(fun acc row -> row :: acc))
-
 (* Concatenation of worker-local bags after a parallel step. The rows were
    budget-accounted when first pushed into their part, so this is a plain
    blit, not a re-push. *)
@@ -111,24 +109,9 @@ let concat ~width parts =
     parts;
   result
 
-(* {2 Parallel execution hook}
-
-   The engine layer owns the domain pool (it must not depend on this
-   library's clients, and this library cannot depend on the engine), so
-   parallelism is injected: when a runner is installed, the binary
-   operators below fan the probe side out across its workers, each pushing
-   into a thread-local part, and concatenate. When absent — the default —
-   every code path is the original serial one. *)
-
-type parallel_runner = {
-  run :
-    'acc.
-    n:int -> create:(unit -> 'acc) -> body:('acc -> int -> unit) -> 'acc list;
-  run_stream : n:int -> sink:Sink.t -> body:(Sink.t -> int -> unit) -> unit;
-}
-
-let parallel_runner : parallel_runner option ref = ref None
-let set_parallel_runner r = parallel_runner := r
+(* Parallelism is injected by the caller: the engine layer owns the
+   domain pool, and this library cannot depend on it. *)
+type runner = n:int -> sink:Sink.t -> body:(Sink.t -> int -> unit) -> unit
 
 (* Probe sides smaller than this are not worth the fan-out. *)
 let parallel_threshold = 512
@@ -240,20 +223,6 @@ let exists_compatible part row ~pred =
     false
   with Found -> true
 
-(* Fan a probe loop out across the pool when one is installed and the probe
-   side is large enough; otherwise run it serially into a single bag. *)
-let probe_into ~width probe ~emit =
-  match !parallel_runner with
-  | Some runner when probe.len >= parallel_threshold ->
-      concat ~width
-        (runner.run ~n:probe.len
-           ~create:(fun () -> create ~width)
-           ~body:(fun out i -> emit out probe.rows.(i)))
-  | _ ->
-      let result = create ~width in
-      iter probe ~f:(emit result);
-      result
-
 (* {2 Sink-driven operator variants}
 
    Each [*_into] operator streams its output rows into a sink instead of
@@ -261,7 +230,7 @@ let probe_into ~width probe ~emit =
    once, at the operator boundary where it is produced — [account] on the
    serial path, [emit_charged] from a morsel worker; shard-drain replays
    do not re-charge. [Sink.Stop] raised by the sink aborts the serial
-   probe loop, and under a parallel runner a [Stop] in any shard stops
+   probe loop, and under a caller's runner a [Stop] in any shard stops
    the other domains at their next morsel boundary — the
    early-termination payoff. *)
 
@@ -301,8 +270,8 @@ let sink bag =
    (the rows cross into a new operator's output). *)
 let replay bag ~sink = iter bag ~f:(fun row -> emit_accounted sink row)
 
-(* Pool composition for sink-driving probe loops, mirroring [probe_into]:
-   with a runner installed and a large probe side, the probe rows are
+(* Pool composition for sink-driving probe loops: with a runner from the
+   caller and a large probe side, the probe rows are
    morselized across domains and every worker emits straight into its own
    shard of the sink (charged through the ticket's atomic stride). A
    [Sink.Stop] raised inside a worker becomes a cross-domain stop at the
@@ -310,10 +279,10 @@ let replay bag ~sink = iter bag ~f:(fun row -> emit_accounted sink row)
    after the shards have drained — so a downstream LIMIT terminates remote
    workers early instead of letting them materialize bags that a serial
    replay would then mostly throw away. *)
-let stream_probe ~width:_ probe ~emit ~sink =
-  match !parallel_runner with
-  | Some runner when probe.len >= parallel_threshold ->
-      runner.run_stream ~n:probe.len ~sink ~body:(fun shard i ->
+let stream_probe ?pool probe ~emit ~sink =
+  match pool with
+  | Some (run : runner) when probe.len >= parallel_threshold ->
+      run ~n:probe.len ~sink ~body:(fun shard i ->
           emit (emit_charged shard) probe.rows.(i))
   | _ -> iter probe ~f:(fun row -> emit (emit_accounted sink) row)
 
@@ -323,15 +292,17 @@ let join b1 b2 =
      bag equality, which is all the semantics requires. *)
   let build, probe = if b1.len <= b2.len then (b1, b2) else (b2, b1) in
   let part = partition build (shared_columns b1 b2) in
-  probe_into ~width:b1.width probe ~emit:(fun out row ->
+  let result = create ~width:b1.width in
+  iter probe ~f:(fun row ->
       iter_compatible part row ~f:(fun other ->
-          push out (Binding.merge row other)))
+          push result (Binding.merge row other)));
+  result
 
-let join_into b1 b2 ~sink =
+let join_into ?pool b1 b2 ~sink =
   if b1.width <> b2.width then invalid_arg "Bag.join_into: width mismatch";
   let build, probe = if b1.len <= b2.len then (b1, b2) else (b2, b1) in
   let part = partition build (shared_columns b1 b2) in
-  stream_probe ~width:b1.width probe ~sink ~emit:(fun push_row row ->
+  stream_probe ?pool probe ~sink ~emit:(fun push_row row ->
       iter_compatible part row ~f:(fun other ->
           push_row (Binding.merge row other)))
 
@@ -366,10 +337,12 @@ let union b1 b2 =
 
 let minus b1 b2 =
   if b1.width <> b2.width then invalid_arg "Bag.minus: width mismatch";
+  let result = create ~width:b1.width in
   let part = partition b2 (shared_columns b1 b2) in
-  probe_into ~width:b1.width b1 ~emit:(fun out row ->
+  iter b1 ~f:(fun row ->
       if not (exists_compatible part row ~pred:(fun _ -> true)) then
-        push out row)
+        push result row);
+  result
 
 (* SPARQL 1.1 MINUS: μ1 is removed only by a compatible μ2 with at least
    one *shared bound* variable (disjoint-domain mappings do not exclude —
@@ -437,19 +410,21 @@ let semijoin b1 b2 =
 
 let left_outer_join b1 b2 =
   if b1.width <> b2.width then invalid_arg "Bag.left_outer_join: width mismatch";
+  let result = create ~width:b1.width in
   let part = partition b2 (shared_columns b1 b2) in
-  probe_into ~width:b1.width b1 ~emit:(fun out row ->
+  iter b1 ~f:(fun row ->
       let matched = ref false in
       iter_compatible part row ~f:(fun other ->
           matched := true;
-          push out (Binding.merge row other));
-      if not !matched then push out row)
+          push result (Binding.merge row other));
+      if not !matched then push result row);
+  result
 
-let left_outer_join_into b1 b2 ~sink =
+let left_outer_join_into ?pool b1 b2 ~sink =
   if b1.width <> b2.width then
     invalid_arg "Bag.left_outer_join_into: width mismatch";
   let part = partition b2 (shared_columns b1 b2) in
-  stream_probe ~width:b1.width b1 ~sink ~emit:(fun push_row row ->
+  stream_probe ?pool b1 ~sink ~emit:(fun push_row row ->
       let matched = ref false in
       iter_compatible part row ~f:(fun other ->
           matched := true;

@@ -62,7 +62,6 @@ val is_empty : t -> bool
 val get : t -> int -> Binding.t
 val iter : t -> f:(Binding.t -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> Binding.t -> 'a) -> 'a
-val to_list : t -> Binding.t list
 
 (** [bound_columns bag] is the sorted list of columns bound in at least one
     row — the bag's (possible) domain, used to find join keys. *)
@@ -127,11 +126,21 @@ val equal_as_bags : t -> t -> bool
     materialized bag, output rows flow into a {!Sink.t} (and are charged
     via {!account} exactly once, at the producing operator boundary).
     [Sink.Stop] raised by the sink aborts the probe loop, so a downstream
-    LIMIT early-terminates the pipeline. While a parallel runner is
-    installed, the probe side is morselized across domains and each worker
-    emits into its own shard of the sink; a [Stop] in any worker stops the
-    others at their next morsel boundary (true cross-domain early
-    termination, not a serial replay of worker bags). *)
+    LIMIT early-terminates the pipeline. When the caller passes a
+    {!runner} ([?pool]), a large probe side is morselized across domains
+    and each worker emits into its own shard of the sink; a [Stop] in any
+    worker stops the others at their next morsel boundary (true
+    cross-domain early termination, not a serial replay of worker bags). *)
+
+(** A parallel fan-out, supplied by the layer that owns the domain pool
+    (this library cannot depend on it). [run ~n ~sink ~body] calls
+    [body shard i] for every [0 <= i < n], where [shard] is the calling
+    domain's private shard of [sink] (see {!Sink.fork}; an unforkable sink
+    runs serially over [sink] itself). Each worker must run under the
+    submitting domain's ambient governor ticket. A [Sink.Stop] raised by a
+    shard stops the other workers at their next morsel boundary and is
+    re-raised in the caller after the shards have drained. *)
+type runner = n:int -> sink:Sink.t -> body:(Sink.t -> int -> unit) -> unit
 
 (** [sink bag] — the materializing terminal: every emitted row is appended
     to [bag] by blit (production was already charged). *)
@@ -151,8 +160,8 @@ val emit_charged : Sink.t -> Binding.t -> unit
     re-push). *)
 val replay : t -> sink:Sink.t -> unit
 
-val join_into : t -> t -> sink:Sink.t -> unit
-val left_outer_join_into : t -> t -> sink:Sink.t -> unit
+val join_into : ?pool:runner -> t -> t -> sink:Sink.t -> unit
+val left_outer_join_into : ?pool:runner -> t -> t -> sink:Sink.t -> unit
 val sparql_minus_into : t -> t -> sink:Sink.t -> unit
 
 (** [join_sink build ~probe_cols ~sink] — a row-at-a-time join for
@@ -180,38 +189,3 @@ val row_compare :
 
 (** [pp table fmt bag] prints rows using variable names from [table]. *)
 val pp : Vartable.t -> Format.formatter -> t -> unit
-
-(** {1 Parallel execution hook}
-
-    This library has no dependency on the engine layer that owns the
-    domain pool, so parallelism is injected: while a runner is installed,
-    {!join}, {!left_outer_join} and {!minus} chunk their probe side across
-    the runner's workers (each worker pushing into a thread-local part that
-    is concatenated afterwards — result order is preserved only up to bag
-    equality). With no runner — the default — every operator is serial and
-    byte-for-byte identical to the historical behavior. *)
-
-type parallel_runner = {
-  run :
-    'acc.
-    n:int -> create:(unit -> 'acc) -> body:('acc -> int -> unit) -> 'acc list;
-      (** [run ~n ~create ~body] partitions [0..n-1] over workers; each
-          worker folds its indices into a private accumulator from
-          [create]; all accumulators are returned. Exceptions raised by
-          [body] (e.g. [Governor.Kill]) are re-raised in the caller. The
-          runner must run each worker under the submitting domain's
-          ambient governor ticket. *)
-  run_stream : n:int -> sink:Sink.t -> body:(Sink.t -> int -> unit) -> unit;
-      (** [run_stream ~n ~sink ~body] — the streaming form: [body shard i]
-          is called for every index, where [shard] is the calling domain's
-          private shard of [sink] (obtained through {!Sink.fork}; when the
-          sink is not forkable the runner degrades to a serial loop over
-          [sink] itself). A [Sink.Stop] raised by a shard stops the other
-          workers at their next morsel boundary and is re-raised in the
-          caller after the shards have drained into the serial pipeline. *)
-}
-
-(** [set_parallel_runner r] installs ([Some]) or removes ([None]) the
-    engine-layer runner. Installed by [Engine.Pool]; never call this with a
-    runner whose workers outlive the call site. *)
-val set_parallel_runner : parallel_runner option -> unit

@@ -2,7 +2,8 @@
    query execution may consume: an atomic row budget, an optional
    wall-clock deadline (with its injected clock — this library stays
    clock-free), a cancellation flag settable from another domain, and a
-   deterministic fault-injection schedule. Tickets replace the historical
+   deterministic fault-injection schedule, plus the execution's engine
+   counters. Tickets replace the historical
    process-global budget/deadline atomics, so concurrent executions with
    different limits no longer clobber each other.
 
@@ -72,7 +73,36 @@ type t = {
      emits under this ticket (the morsel scheduler re-installs the
      submitting ticket inside stolen morsels), so it must be atomic. *)
   parallel_unchecked : int Atomic.t;
+  (* Engine counters, indexed by [counter_index]; atomic because morsels
+     on other domains charge the submitting execution's ticket. *)
+  counters : int Atomic.t array;
 }
+
+type counter =
+  | Intersections
+  | Gallop_passes
+  | Merge_passes
+  | Domain_values
+  | Operands
+  | Prefilter_checks
+  | Prefilter_rejects
+  | Morsels
+  | Steals
+  | Stops
+
+let counter_index = function
+  | Intersections -> 0
+  | Gallop_passes -> 1
+  | Merge_passes -> 2
+  | Domain_values -> 3
+  | Operands -> 4
+  | Prefilter_checks -> 5
+  | Prefilter_rejects -> 6
+  | Morsels -> 7
+  | Steals -> 8
+  | Stops -> 9
+
+let n_counters = 10
 
 let create ?row_budget ?deadline ?(faults = []) () =
   {
@@ -83,6 +113,7 @@ let create ?row_budget ?deadline ?(faults = []) () =
     faults = Array.of_list faults;
     stream_unchecked = ref 0;
     parallel_unchecked = Atomic.make 0;
+    counters = Array.init n_counters (fun _ -> Atomic.make 0);
   }
 
 let unlimited () = create ()
@@ -96,6 +127,17 @@ let governed t =
   t.deadline <> None
   || Atomic.get t.budget < max_int
   || Array.length t.faults > 0
+
+(* {2 Execution counters} *)
+
+let count t c n =
+  ignore (Atomic.fetch_and_add (Array.unsafe_get t.counters (counter_index c)) n)
+
+type counts = int array
+
+let counts t = Array.map Atomic.get t.counters
+let diff later earlier = Array.map2 ( - ) later earlier
+let get counts c = counts.(counter_index c)
 
 (* {2 The ambient ticket} *)
 

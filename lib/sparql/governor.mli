@@ -5,7 +5,10 @@
     base runs out of memory on 13 of 24 LUBM queries, and the bench
     observes that as a recoverable condition), an optional wall-clock
     deadline, a cancellation flag settable from another domain, and a
-    deterministic fault-injection schedule for chaos testing.
+    deterministic fault-injection schedule for chaos testing. It also
+    carries the execution's engine counters (intersection kernel,
+    candidate prefilter, morsel scheduler), so each query's report counts
+    its own work even while other queries run.
 
     Tickets replace the historical process-global budget/deadline
     atomics: concurrent executions each govern themselves, so a tight
@@ -94,6 +97,40 @@ val remaining_budget : t -> int
 (** [governed t] — whether [t] carries any finite limit or fault
     schedule. *)
 val governed : t -> bool
+
+(** {1 Execution counters}
+
+    Engine activity charged to the ticket of the execution that did it.
+    Counters are atomic: morsels running on other domains charge the
+    submitting execution's ticket. Engine code fetches the ticket once
+    per scan or morsel and passes it down, so no counter update pays a
+    domain-local lookup. *)
+
+type counter =
+  | Intersections  (** multiway intersections performed *)
+  | Gallop_passes  (** two-way intersection passes that galloped *)
+  | Merge_passes  (** two-way intersection passes that linear-merged *)
+  | Domain_values  (** values across all intersected domains *)
+  | Operands  (** intersection operands consumed *)
+  | Prefilter_checks  (** candidate-set membership tests *)
+  | Prefilter_rejects  (** membership tests that rejected the value *)
+  | Morsels  (** morsels executed by the scheduler *)
+  | Steals  (** morsels claimed from another domain's deque *)
+  | Stops  (** parallel jobs ended early by a cross-domain [Stop] *)
+
+(** [count t c n] adds [n] to [t]'s counter [c]; safe from any domain. *)
+val count : t -> counter -> int -> unit
+
+(** A snapshot of every counter of one ticket. *)
+type counts
+
+val counts : t -> counts
+
+(** [diff later earlier] — the counter increments between two snapshots
+    (a ticket's counters only grow, and nothing resets them). *)
+val diff : counts -> counts -> counts
+
+val get : counts -> counter -> int
 
 (** {1 The ambient ticket} *)
 

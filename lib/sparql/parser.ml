@@ -729,15 +729,6 @@ let parse src =
     offset = !offset;
   }
 
-let parse_group ?env src =
-  let env = match env with Some e -> e | None -> Rdf.Namespace.with_defaults () in
-  let st = { toks = Lexer.tokenize src; cur = 0; env; fresh = 0 } in
-  let g = parse_group_body st in
-  (match peek st with
-  | Lexer.EOF -> ()
-  | tok -> error st "trailing %s after group" (Lexer.token_to_string tok));
-  g
-
 (* ---------------- SPARQL Update ---------------- *)
 
 (* Ground triples for INSERT DATA / DELETE DATA: a braced triples block

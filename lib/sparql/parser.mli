@@ -29,10 +29,6 @@ exception Parse_error of { line : int; message : string }
     extend the default namespace environment. *)
 val parse : string -> Ast.query
 
-(** [parse_group ?env src] parses a bare group graph pattern ["{ ... }"] —
-    convenient for tests and property generators. *)
-val parse_group : ?env:Rdf.Namespace.t -> string -> Ast.group
-
 (** [parse_update src] parses a [;]-separated sequence of SPARQL 1.1
     Update operations (INSERT DATA, DELETE DATA, DELETE WHERE,
     DELETE/INSERT ... WHERE), with PREFIX declarations. *)

@@ -12,8 +12,6 @@ let cell : runner option Atomic.t = Atomic.make None
 
 let set_runner ~domains run = Atomic.set cell (Some { domains; run })
 
-let clear_runner () = Atomic.set cell None
-
 let domains () =
   match Atomic.get cell with Some r -> max 1 r.domains | None -> 1
 

@@ -10,8 +10,6 @@
     possibly concurrently, and return after all complete. *)
 val set_runner : domains:int -> (ntasks:int -> (int -> unit) -> unit) -> unit
 
-val clear_runner : unit -> unit
-
 (** Domain count of the installed runner; [1] when serial. *)
 val domains : unit -> int
 

@@ -9,7 +9,8 @@
    - [Raw]: fixed-width little-endian integers, 4 bytes when every value
      fits in 31 bits and 8 otherwise. O(1) random access; used for the
      small offset/grouping columns that back every lookup, and for whole
-     indexes when compression is disabled (--compression none).
+     indexes built with an explicit [Raw] mode (tests, the scale bench,
+     older snapshot files).
    - [Delta]: values split into blocks of 128. The first value of each
      block is kept uncompressed in a fixed-width sample array (the skip
      index); the rest of the block is encoded adaptively:
@@ -30,19 +31,7 @@ type bytes_ba =
 
 type mode = Raw | Delta
 
-(* Process-global default, set once at startup by the CLI escape hatch
-   (--compression). Reads are plain loads; builders sample it at
-   creation. *)
-let mode_cell = Atomic.make Delta
-let set_default_mode m = Atomic.set mode_cell m
-let default_mode () = Atomic.get mode_cell
-
 let mode_name = function Raw -> "none" | Delta -> "delta"
-
-let mode_of_name = function
-  | "none" | "raw" -> Some Raw
-  | "delta" -> Some Delta
-  | _ -> None
 
 let block_size = 128
 let block_shift = 7

@@ -16,18 +16,11 @@
     across domains; {!cursor}s are the only mutable state and belong to
     one reader. *)
 
+(** Store construction paths default to [Delta]; [Raw] backs the offset
+    columns and indexes built with an explicit mode. *)
 type mode = Raw | Delta
 
-(** Process-global default compression mode (the [--compression] CLI
-    escape hatch). Builders created with {!Builder.create} take an
-    explicit mode; store construction paths consult the default. *)
-val set_default_mode : mode -> unit
-
-val default_mode : unit -> mode
-
 val mode_name : mode -> string
-
-val mode_of_name : string -> mode option
 
 (** Number of values per compressed block (128). *)
 val block_size : int

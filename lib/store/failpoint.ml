@@ -14,11 +14,3 @@ let handler : (string -> unit) Atomic.t = Atomic.make noop
 let set_handler f = Atomic.set handler f
 
 let hit site = (Atomic.get handler) site
-
-(* Every site the store layer can kill at, for chaos schedules that
-   sweep them all. *)
-let all_sites =
-  [
-    "wal.record"; "wal.marker"; "wal.sync.pre"; "wal.sync.post";
-    "snapshot.save"; "snapshot.rename";
-  ]

@@ -16,8 +16,3 @@ val set_handler : (string -> unit) -> unit
 (** [hit site] invokes the installed handler; a chaos handler raises to
     simulate a crash at [site]. *)
 val hit : string -> unit
-
-(** The kill sites the store layer exposes: ["wal.record"],
-    ["wal.marker"], ["wal.sync.pre"], ["wal.sync.post"],
-    ["snapshot.save"], ["snapshot.rename"]. *)
-val all_sites : string list

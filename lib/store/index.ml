@@ -188,7 +188,7 @@ let sort_perm ~n ~max_id ~key1 ~key2 ~key3 =
   if radix_pays ~n ~max_id then radix_sort_perm ~n ~max_id ~key1 ~key2 ~key3
   else comparison_sort_perm ~n ~max_id ~key1 ~key2 ~key3
 
-let build ?(mode = Column.default_mode ()) order table =
+let build ?(mode = Column.Delta) order table =
   let n = Array.length table.s in
   let max_id = ref 0 in
   for i = 0 to n - 1 do

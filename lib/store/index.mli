@@ -26,7 +26,7 @@ val mem_bytes : t -> int
 
 (** [build ?mode order table] sorts the rows of [table]
     lexicographically by the components of [order] with {!sort_perm}
-    and encodes the index ([mode] defaults to {!Column.default_mode}). *)
+    and encodes the index ([mode] defaults to [Delta]). *)
 val build : ?mode:Column.mode -> order -> table -> t
 
 (** [sort_perm ~n ~max_id ~key1 ~key2 ~key3] is the permutation of

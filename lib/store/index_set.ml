@@ -83,7 +83,7 @@ let max_id_of ~len cols =
   !m
 
 let of_columns ?mode ?len ~s ~p ~o () =
-  let mode = Option.value mode ~default:(Column.default_mode ()) in
+  let mode = Option.value mode ~default:Column.Delta in
   let n0 = Option.value len ~default:(Array.length s) in
   let max_id = max_id_of ~len:n0 [ s; p; o ] in
   let sk i = Array.unsafe_get s i
@@ -127,7 +127,7 @@ let of_columns ?mode ?len ~s ~p ~o () =
    increasing in SPO order (validated during decode), so the sort and
    dedup stages vanish. *)
 let of_sorted_columns ?mode ~s ~p ~o () =
-  let mode = Option.value mode ~default:(Column.default_mode ()) in
+  let mode = Option.value mode ~default:Column.Delta in
   let max_id = max_id_of ~len:(Array.length s) [ s; p; o ] in
   build_indexes ~mode ~max_id ~sorted_spo:true s p o
 

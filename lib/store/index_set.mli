@@ -11,7 +11,7 @@ type t
     three parallel id columns (the first [len] entries when given — the
     bulk-load path hands over its possibly-oversized growable buffers).
     The six per-order sort/encode tasks fan out over the {!Bulk}
-    runner. [mode] defaults to {!Column.default_mode}. *)
+    runner. [mode] defaults to [Delta]. *)
 val of_columns :
   ?mode:Column.mode ->
   ?len:int ->

@@ -73,11 +73,6 @@ val insert : txn -> Rdf.Triple.t -> unit
 
 val delete : txn -> Rdf.Triple.t -> unit
 
-(** Encoded-row variants (terms already interned). *)
-val insert_encoded : txn -> int * int * int -> unit
-
-val delete_encoded : txn -> int * int * int -> unit
-
 (** [commit txn] publishes the buffered writes atomically and returns
     the new current snapshot (auto-compacting if the delta crossed the
     threshold). An empty transaction publishes nothing. *)

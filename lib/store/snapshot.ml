@@ -34,7 +34,6 @@ let base t = t.base
 let delta t = t.delta
 let version t = t.version
 let base_epoch t = Triple_store.epoch t.base
-let delta_gen t = Delta.gen t.delta
 
 let dictionary t = Triple_store.dictionary t.base
 let dict_size t = Dictionary.size (Triple_store.dictionary t.base)

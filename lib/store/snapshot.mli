@@ -34,7 +34,6 @@ val delta : t -> Delta.t
 val version : t -> int
 
 val base_epoch : t -> int
-val delta_gen : t -> int
 
 (** {2 Dictionary} *)
 

@@ -174,8 +174,3 @@ let num_triples stats = stats.num_triples
 let num_entities stats = stats.num_entities
 let num_predicates stats = stats.num_predicates
 let num_literals stats = stats.num_literals
-
-let pp_summary fmt stats =
-  Format.fprintf fmt
-    "triples=%d entities=%d predicates=%d literals=%d" stats.num_triples
-    stats.num_entities stats.num_predicates stats.num_literals

@@ -51,5 +51,3 @@ val num_predicates : t -> int
 
 (** [num_literals stats] counts distinct literal terms in object position. *)
 val num_literals : t -> int
-
-val pp_summary : Format.formatter -> t -> unit

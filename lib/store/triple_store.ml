@@ -10,12 +10,12 @@ type t = {
   base : Index_set.t;
   (* Version stamp read by plan/statistics caches: any value observed
      before a rebuild differs from every value observed after it. *)
-  epoch : int Atomic.t;
+  epoch : int;
   load : load_stats;
 }
 
 (* Epochs are drawn from one process-global counter so they stay
-   monotonic across store rebuilds: the store a bulk update returns
+   monotonic across store rebuilds: the store a compaction returns
    carries a strictly larger epoch than the store it replaced. Snapshot
    versions are drawn from the same counter, so a base epoch and a
    snapshot version are comparable stamps. *)
@@ -23,9 +23,7 @@ let epoch_counter = Atomic.make 0
 
 let fresh_epoch () = Atomic.fetch_and_add epoch_counter 1
 
-let epoch store = Atomic.get store.epoch
-
-let bump_epoch store = Atomic.set store.epoch (fresh_epoch ())
+let epoch store = store.epoch
 
 let dictionary store = store.dict
 
@@ -63,7 +61,7 @@ let stats_of ~t0 base =
   }
 
 let make ~t0 dict base =
-  { dict; base; epoch = Atomic.make (fresh_epoch ()); load = stats_of ~t0 base }
+  { dict; base; epoch = fresh_epoch (); load = stats_of ~t0 base }
 
 let of_encoded_rows dict rows =
   let t0 = Unix.gettimeofday () in

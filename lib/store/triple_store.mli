@@ -9,8 +9,7 @@ type t
     Every build path streams triples into growable id columns and fans
     the six per-order sort/encode tasks out over the {!Bulk} runner
     (serial without one); the indexes land in off-heap {!Column}
-    storage whose compression follows {!Column.default_mode} unless a
-    [?mode] override is given. *)
+    storage, delta-compressed unless a [?mode] override is given. *)
 
 (** [of_triples triples] encodes, deduplicates and indexes the dataset. *)
 val of_triples : Rdf.Triple.t list -> t
@@ -79,10 +78,6 @@ val fresh_epoch : unit -> int
 
 (** [epoch store] is the store's current epoch. *)
 val epoch : t -> int
-
-(** [bump_epoch store] advances the epoch to a fresh, strictly larger
-    value (invalidating everything keyed on earlier epochs). *)
-val bump_epoch : t -> unit
 
 (** [intern_term store term] encodes [term] in the dictionary, assigning
     a fresh id when it was not yet present — the eval-time dictionary

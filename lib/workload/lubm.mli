@@ -43,5 +43,4 @@ val store : config -> Rdf_store.Triple_store.t
 
 (** {1 IRI helpers (used by queries and tests)} *)
 
-val university_iri : int -> string
 val department_iri : univ:int -> dept:int -> string

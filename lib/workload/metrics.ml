@@ -43,16 +43,3 @@ let row_of ?row_budget store (entry : Queries.entry) =
     depth = Sparql_uo.Executor.depth_of_query query;
     result_size = report.Sparql_uo.Executor.result_count;
   }
-
-let pp_table fmt rows =
-  Format.fprintf fmt "%-6s %-5s %10s %6s %14s@." "Query" "Type" "Count_BGP"
-    "Depth" "|[[Q]]_D|";
-  List.iter
-    (fun row ->
-      Format.fprintf fmt "%-6s %-5s %10d %6d %14s@." row.id
-        (class_name row.query_class)
-        row.count_bgp row.depth
-        (match row.result_size with
-        | Some n -> string_of_int n
-        | None -> "limit"))
-    rows

@@ -22,5 +22,3 @@ type row = {
     report final result cardinalities, which are mode-independent). *)
 val row_of :
   ?row_budget:int -> Rdf_store.Triple_store.t -> Queries.entry -> row
-
-val pp_table : Format.formatter -> row list -> unit

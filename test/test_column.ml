@@ -226,6 +226,27 @@ let test_query_bags_across_modes () =
         [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
     (Workload.Queries.all Workload.Queries.Lubm)
 
+(* A snapshot file written from a Raw-column build loads (into the
+   default Delta build) with the same triples: the file format carries
+   triples, not column modes. *)
+let test_raw_snapshot_loads () =
+  let triples = Workload.Lubm.generate Workload.Lubm.tiny in
+  let raw = store_of_triples Column.Raw triples in
+  let path = Filename.temp_file "raw_snapshot" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Rdf_store.Snapshot.save raw path;
+      let loaded = Rdf_store.Snapshot.load path in
+      let decoded store =
+        let acc = ref [] in
+        Rdf_store.Triple_store.iter_all store ~f:(fun ~s ~p ~o ->
+            let term = Rdf_store.Triple_store.decode_term store in
+            acc := (term s, term p, term o) :: !acc);
+        List.sort compare !acc
+      in
+      Alcotest.(check bool) "same triples" true (decoded raw = decoded loaded))
+
 let () =
   Alcotest.run "column"
     [
@@ -247,5 +268,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_store_views_equivalent;
           Alcotest.test_case "query bags mode x engine x domains" `Quick
             test_query_bags_across_modes;
+          Alcotest.test_case "Raw-build snapshot loads" `Quick
+            test_raw_snapshot_loads;
         ] );
     ]

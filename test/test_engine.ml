@@ -315,15 +315,21 @@ let test_candidates () =
   List.iter
     (fun (name, set) ->
       let cands = Engine.Candidates.set Engine.Candidates.empty ~col:0 set in
+      let gov = Sparql.Governor.unlimited () in
       Alcotest.(check int) (name ^ " cardinal") 2 (Engine.Candidates.cardinal set);
       Alcotest.(check bool) (name ^ " allows member") true
-        (Engine.Candidates.allows cands ~col:0 1);
+        (Engine.Candidates.allows gov cands ~col:0 1);
       Alcotest.(check bool) (name ^ " rejects non-member") false
-        (Engine.Candidates.allows cands ~col:0 9);
+        (Engine.Candidates.allows gov cands ~col:0 9);
       Alcotest.(check bool) (name ^ " rejects negative") false
         (Engine.Candidates.mem set (-3));
       Alcotest.(check bool) (name ^ " unconstrained column allows") true
-        (Engine.Candidates.allows cands ~col:5 9);
+        (Engine.Candidates.allows gov cands ~col:5 9);
+      (* Only the two tests against a candidate set count, on the ticket
+         they were given. *)
+      let c = Engine.Candidates.of_counts (Sparql.Governor.counts gov) in
+      Alcotest.(check (pair int int)) (name ^ " checks/rejects") (2, 1)
+        (c.checks, c.rejects);
       let seen = ref [] in
       Engine.Candidates.iter_values set ~f:(fun v -> seen := v :: !seen);
       Alcotest.(check (list int)) (name ^ " iterates ascending") [ 1; 2 ]
@@ -436,13 +442,22 @@ let test_intersect_kernel () =
   (* A > 4x size ratio must take the galloping pass, small ratios the
      linear merge — and both must produce the same sets. *)
   let evens = Array.init 500 (fun i -> 2 * i) in
-  Engine.Intersect.reset ();
-  check "gallop result" [| 10; 400 |] [ [| 10; 151; 400 |]; evens ];
-  let c = Engine.Intersect.read () in
+  (* Each run counts its passes on its own ticket. *)
+  let counted f =
+    let gov = Sparql.Governor.unlimited () in
+    Sparql.Governor.with_ticket gov f;
+    Engine.Intersect.of_counts (Sparql.Governor.counts gov)
+  in
+  let c =
+    counted (fun () ->
+        check "gallop result" [| 10; 400 |] [ [| 10; 151; 400 |]; evens ])
+  in
   Alcotest.(check bool) "ratio > 4x gallops" true (c.gallop_passes = 1);
-  Engine.Intersect.reset ();
-  check "merge result" [| 0; 2 |] [ [| 0; 1; 2; 3 |]; [| 0; 2; 4; 6; 8 |] ];
-  let c = Engine.Intersect.read () in
+  let c =
+    counted (fun () ->
+        check "merge result" [| 0; 2 |]
+          [ [| 0; 1; 2; 3 |]; [| 0; 2; 4; 6; 8 |] ])
+  in
   Alcotest.(check bool) "ratio <= 4x merges" true
     (c.merge_passes = 1 && c.gallop_passes = 0)
 

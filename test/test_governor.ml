@@ -343,6 +343,105 @@ let test_two_session_isolation () =
   Alcotest.(check int) "free session quiescent" 0
     (Sparql_uo.Session.active_runs free_session)
 
+(* --- Per-query counters under concurrency ------------------------------- *)
+
+let lubm2 = lazy (Workload.Lubm.store (Workload.Lubm.scaled 2))
+
+(* What a report says about its own query's engine work, rendered so a
+   mismatch prints both sides. *)
+let counters_of report =
+  match report.Sparql_uo.Executor.eval_stats with
+  | None -> Alcotest.fail "run was killed unexpectedly"
+  | Some es ->
+      let i = es.Sparql_uo.Evaluator.isect
+      and p = es.Sparql_uo.Evaluator.prefilter
+      and m = es.Sparql_uo.Evaluator.sched in
+      Printf.sprintf
+        "isect=%d/%d/%d/%d/%d prefilter=%d/%d sched=%d/%d/%d pushed=%d"
+        i.Engine.Intersect.intersections i.gallop_passes i.merge_passes
+        i.domain_values i.operands p.Engine.Candidates.checks p.rejects
+        m.Engine.Pool.morsels m.steals m.stops
+        report.Sparql_uo.Executor.pushed_rows
+
+(* Start [bodies] on their own domains at the same moment and return
+   their results in order. *)
+let run_together bodies =
+  let waiting = Atomic.make (List.length bodies) in
+  let start body =
+    Domain.spawn (fun () ->
+        Atomic.decr waiting;
+        while Atomic.get waiting > 0 do
+          Domain.cpu_relax ()
+        done;
+        body ())
+  in
+  List.map Domain.join (List.map start bodies)
+
+(* Two domains run the paper's LUBM queries at the same time, each run
+   under its own ticket: one repeats q1.1, the other cycles through the
+   remaining queries until the first is done (q2.2, which pushes 16M rows
+   here, is left out to keep the test quick). Every report must carry
+   exactly its query's serial counters: counters kept in process-global
+   cells were reset and bumped by the other domain's runs. *)
+let test_concurrent_counters () =
+  let store = Lazy.force lubm2 in
+  let stats = Rdf_store.Stats.cached store in
+  let run (entry : Workload.Queries.entry) =
+    (entry.id, counters_of (Sparql_uo.Executor.run ~stats store entry.text))
+  in
+  let queries =
+    List.filter
+      (fun e -> e.Workload.Queries.id <> "q2.2")
+      (Workload.Queries.all Workload.Queries.Lubm)
+  in
+  let serial = List.map run queries in
+  let q11, others =
+    List.partition (fun e -> e.Workload.Queries.id = "q1.1") queries
+  in
+  let q11_done = Atomic.make false in
+  let repeat_q11 () =
+    let reports = List.concat (List.init 3 (fun _ -> List.map run q11)) in
+    Atomic.set q11_done true;
+    reports
+  in
+  let cycle_others () =
+    let rec go acc =
+      let acc = List.rev_append (List.map run others) acc in
+      if Atomic.get q11_done then acc else go acc
+    in
+    go []
+  in
+  List.iter
+    (fun (id, counters) ->
+      Alcotest.(check string)
+        (id ^ " reports its serial counters")
+        (List.assoc id serial) counters)
+    (List.concat (run_together [ repeat_q11; cycle_others ]))
+
+(* A serial run beside a domains-4 run of the same query: the morsels the
+   pool ran are charged to the parallel run alone. *)
+let test_serial_beside_parallel () =
+  let store = Lazy.force lubm2 in
+  let stats = Rdf_store.Stats.cached store in
+  let text = (Workload.Queries.get Workload.Queries.Lubm "q1.6").text in
+  let morsels domains () =
+    List.init 3 (fun _ ->
+        let report = Sparql_uo.Executor.run ~stats ~domains store text in
+        match report.Sparql_uo.Executor.eval_stats with
+        | Some es -> es.Sparql_uo.Evaluator.sched.Engine.Pool.morsels
+        | None -> Alcotest.fail "run was killed unexpectedly")
+  in
+  match run_together [ morsels 1; morsels 4 ] with
+  | [ serial; parallel ] ->
+      List.iter
+        (fun n -> Alcotest.(check int) "serial run ran no morsels" 0 n)
+        serial;
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) "parallel run ran morsels" true (n > 0))
+        parallel
+  | _ -> assert false
+
 let () =
   Alcotest.run "governor"
     [
@@ -375,6 +474,10 @@ let () =
         [
           Alcotest.test_case "cross-domain cancellation" `Quick
             test_cancellation;
+          Alcotest.test_case "concurrent runs report their serial counters"
+            `Quick test_concurrent_counters;
+          Alcotest.test_case "a serial run beside a domains-4 run" `Quick
+            test_serial_beside_parallel;
           Alcotest.test_case "two-session isolation" `Quick
             test_two_session_isolation;
         ] );

@@ -576,28 +576,36 @@ let test_print_parse_roundtrip_sparql11 () =
 
 (* --- SPARQL Update --------------------------------------------------------- *)
 
+(* Apply an update through a session (one transaction per operation),
+   then fold the delta into the base so the result is a plain store. *)
+let update store text =
+  let session = Sparql_uo.Session.create store in
+  Sparql_uo.Update_exec.run_session session text;
+  Sparql_uo.Session.checkpoint session;
+  Sparql_uo.Session.store session
+
 let test_update_insert_delete_data () =
   let store = Rdf_store.Triple_store.of_triples [] in
   let store =
-    Sparql_uo.Update_exec.run store
+    update store
       "INSERT DATA { <http://t/e0> <http://t/p0> <http://t/e1> . \
        <http://t/e0> <http://t/p0> <http://t/e2> . }"
   in
   Alcotest.(check int) "two inserted" 2 (Rdf_store.Triple_store.size store);
   (* Re-inserting an existing triple is a no-op (graphs are sets). *)
   let store =
-    Sparql_uo.Update_exec.run store
+    update store
       "INSERT DATA { <http://t/e0> <http://t/p0> <http://t/e1> . }"
   in
   Alcotest.(check int) "idempotent insert" 2 (Rdf_store.Triple_store.size store);
   let store =
-    Sparql_uo.Update_exec.run store
+    update store
       "DELETE DATA { <http://t/e0> <http://t/p0> <http://t/e2> . }"
   in
   Alcotest.(check int) "one deleted" 1 (Rdf_store.Triple_store.size store);
   (* Deleting an absent triple is a no-op. *)
   let store =
-    Sparql_uo.Update_exec.run store
+    update store
       "DELETE DATA { <http://t/e9> <http://t/p0> <http://t/e9> . }"
   in
   Alcotest.(check int) "absent delete no-op" 1 (Rdf_store.Triple_store.size store)
@@ -606,7 +614,7 @@ let test_update_delete_where () =
   let store = tiny_store () in
   let before = Rdf_store.Triple_store.size store in
   let store =
-    Sparql_uo.Update_exec.run store "DELETE WHERE { ?x <http://t/p1> ?l . }"
+    update store "DELETE WHERE { ?x <http://t/p1> ?l . }"
   in
   Alcotest.(check int) "p1 triples removed" (before - 2)
     (Rdf_store.Triple_store.size store);
@@ -617,7 +625,7 @@ let test_update_modify () =
   let store = tiny_store () in
   (* Rewrite p0 edges into derived edges, removing the originals. *)
   let store =
-    Sparql_uo.Update_exec.run store
+    update store
       "DELETE { ?x <http://t/p0> ?y . } INSERT { ?y <http://t/rev> ?x . } \
        WHERE { ?x <http://t/p0> ?y . }"
   in
@@ -627,7 +635,7 @@ let test_update_modify () =
     (count store "SELECT * WHERE { ?a <http://t/rev> ?b . }");
   (* INSERT-only with a fresh constant object. *)
   let store =
-    Sparql_uo.Update_exec.run store
+    update store
       "INSERT { ?x <http://t/tag> <http://t/marked> . } WHERE { ?x \
        <http://t/p1> ?l . }"
   in
@@ -637,7 +645,7 @@ let test_update_modify () =
 let test_update_sequence_and_errors () =
   let store = Rdf_store.Triple_store.of_triples [] in
   let store =
-    Sparql_uo.Update_exec.run store
+    update store
       "INSERT DATA { <http://t/a> <http://t/p> <http://t/b> . } ; DELETE \
        DATA { <http://t/a> <http://t/p> <http://t/b> . } ; INSERT DATA { \
        <http://t/c> <http://t/p> <http://t/d> . }"
