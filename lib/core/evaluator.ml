@@ -19,6 +19,7 @@ type stats = {
   total_rows : int;
   bgp_evals : int;
   pruned_bgps : int;
+  steered_bgps : int;
   isect : Engine.Intersect.counters;
   stages : Sparql.Sink.stage list;
   nodes : node_report list;
@@ -92,15 +93,23 @@ let node_columns st node =
   in
   List.filter_map (fun v -> Sparql.Vartable.find table v) vars
 
+(* The columns bound in every row of [bag]. Every column is (vacuously)
+   bound in every row of an empty bag. *)
+let left_universal st bag =
+  if Sparql.Bag.is_empty bag then
+    List.init (Engine.Bgp_eval.width st.env) Fun.id
+  else Sparql.Bag.universal_columns bag
+
 (* Candidate sets drawn from the current result [r]: one per column that is
    bound in every row of [r] and used below [node]; intersected with any
-   outer candidate set for the same column. *)
+   outer candidate set for the same column. An empty [r] gives ∅ sets: every
+   join, OPTIONAL or MINUS over an empty left is empty, so nothing [node]
+   produces can survive. *)
 let candidates_from st outer r node =
   match r with
   | None -> outer
-  | Some bag when Sparql.Bag.is_empty bag -> outer
   | Some bag ->
-      let universal = Sparql.Bag.universal_columns bag in
+      let universal = left_universal st bag in
       let wanted = node_columns st node in
       (* Dictionary ids are dense in [0, size) — the bitset universe. *)
       let universe =
@@ -470,9 +479,7 @@ and combine_into st ~cands ~forced r node ~sink =
              surviving unextended row (OPTIONAL), or resurrect a row its
              excluder would have removed (MINUS). *)
           let left_universal =
-            match r with
-            | None -> []
-            | Some bag -> Sparql.Bag.universal_columns bag
+            match r with None -> [] | Some bag -> left_universal st bag
           in
           let pass_down =
             Engine.Candidates.restrict pass_down ~cols:left_universal
@@ -556,6 +563,7 @@ let finish_stats st gov ~base_pushed ~base_counts ~join_space ~stages =
     total_rows = Sparql.Governor.pushed gov - base_pushed;
     bgp_evals = Atomic.get st.bgp_evals;
     pruned_bgps = Atomic.get st.pruned_bgps;
+    steered_bgps = Sparql.Governor.get counts Steered_bgps;
     isect = Engine.Intersect.of_counts counts;
     stages;
     nodes = List.rev !(st.nodes);

@@ -7,7 +7,9 @@
     become candidate sets for the BGPs evaluated below; a BGP applies a
     candidate set only when it is smaller than a threshold — a fixed row
     count, or (adaptive mode) the engine's estimate of that BGP's own
-    result size.
+    result size. An empty current result gives ∅ sets on every column
+    (nothing can join an empty left), and on the WCO engine the admitted
+    sets steer the BGP's join order ({!Engine.Planner.steer}).
 
     Adaptive execution ([~adaptive:true]) adds, on top of Adaptive-mode
     pruning:
@@ -62,6 +64,9 @@ type stats = {
   total_rows : int;  (** total intermediate rows materialized *)
   bgp_evals : int;
   pruned_bgps : int;  (** BGP evaluations that had a candidate set applied *)
+  steered_bgps : int;
+      (** pruned BGP evaluations on the WCO engine whose join order the
+          candidate sets moved ({!Engine.Planner.steer}) *)
   isect : Engine.Intersect.counters;
       (** multiway-intersection kernel activity during this evaluation
           (zero when the WCO engine took no vertex-at-a-time steps) *)

@@ -114,10 +114,10 @@ let explain report =
       Buffer.add_string buf
         (Printf.sprintf
            "join space: %.3g; peak rows: %d; total rows: %d; BGP evals: %d \
-            (%d pruned)\n"
+            (%d pruned, %d steered)\n"
            stats.Evaluator.join_space stats.Evaluator.peak_rows
            stats.Evaluator.total_rows stats.Evaluator.bgp_evals
-           stats.Evaluator.pruned_bgps);
+           stats.Evaluator.pruned_bgps stats.Evaluator.steered_bgps);
       (let i = stats.Evaluator.isect in
        if i.Engine.Intersect.intersections > 0 then
          Buffer.add_string buf

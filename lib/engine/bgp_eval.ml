@@ -81,17 +81,32 @@ let plan ctx patterns =
       Hashtbl.add ctx.plan_cache patterns plan;
       plan
 
+(* The memoized plan, re-ordered so the WCO engine starts from the
+   smallest candidate set ({!Planner.steer}); a moved order is counted
+   on the ambient ticket. *)
+let steered ctx plan ~candidates =
+  if Candidates.is_empty candidates then plan
+  else
+    let card col =
+      Option.map Candidates.cardinal (Candidates.find candidates ~col)
+    in
+    let moved = Planner.steer ctx.stats plan ~card in
+    if moved != plan then
+      Sparql.Governor.count (Sparql.Governor.current ()) Steered_bgps 1;
+    moved
+
 (* [eval_into_with] takes the engine explicitly — the adaptive executor
    picks per node, [eval_into] passes the context's engine. The memoized
    plan is engine-independent, so switching engines per node costs
-   nothing extra. *)
+   nothing extra. Only WCO is steered by candidate sets: the hash engine
+   keeps the planner's order, standing in for Jena. *)
 let eval_into_with ctx ~engine patterns ~candidates ~sink =
   let plan = plan ctx patterns in
   let width = width ctx in
   match engine with
   | Wco ->
-      Wco.eval_into ?pool:ctx.pool ctx.store ~stats:ctx.stats ~width plan
-        ~candidates ~sink
+      Wco.eval_into ?pool:ctx.pool ctx.store ~stats:ctx.stats ~width
+        (steered ctx plan ~candidates) ~candidates ~sink
   | Hash_join ->
       Hash_join.eval_into ?pool:ctx.pool ctx.store ~width plan ~candidates ~sink
 

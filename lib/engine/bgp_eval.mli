@@ -77,7 +77,11 @@ val eval_into :
     with the engine chosen per call instead of from the context. The
     adaptive executor uses this to pick wco vs hash probe per BE-tree
     node based on the plan's engine-specific cost estimates; memoized
-    plans are engine-independent so the override costs nothing extra. *)
+    plans are engine-independent so the override costs nothing extra.
+    On WCO, non-empty [candidates] steer the memoized plan's order
+    ({!Planner.steer}) so evaluation seeds from the smallest candidate
+    set; a moved order is counted as [Steered_bgps] on the ambient
+    ticket. The hash engine keeps the planner's order. *)
 val eval_into_with :
   t ->
   engine:engine ->

@@ -3,13 +3,13 @@
 
    - [Dense]: a bitset over the dictionary-id universe. Membership is one
      byte load plus a mask, and the multiway intersection kernel applies it
-     to each probe without changing its asymptotics. Chosen whenever the
-     bitset (universe/8 bytes) is no larger than the sorted array it
-     replaces (8 bytes per element), or the universe is small enough that
-     the bitset is trivially cheap.
+     to each probe without changing its asymptotics. Chosen exactly when
+     the bitset (universe/8 bytes) is no larger than the sorted array it
+     replaces (8 bytes per element).
    - [Sorted]: a strictly increasing int array. Sparse sets keep memory
-     proportional to their cardinality, and the intersection kernel can
-     consume them directly as an operand. *)
+     proportional to their cardinality, and the intersection kernel
+     consumes them directly as an operand, so a small set drives the
+     intersection instead of being tested against every value. *)
 
 type set =
   | Dense of { bits : Bytes.t; universe : int; card : int }
@@ -18,9 +18,9 @@ type set =
 type t = (int * set) list
 
 (* Dense wins when universe/8 bytes <= card * 8 bytes, i.e. universe <=
-   64 * card; tiny universes always take the bitset. *)
+   64 * card. *)
 let dense_factor = 64
-let small_universe = 1 lsl 16
+let dense ~universe ~card = universe > 0 && universe <= dense_factor * card
 
 let mem set id =
   match set with
@@ -61,8 +61,7 @@ let as_sorted = function
 
 let of_hashtbl ~universe tbl =
   let card = Hashtbl.length tbl in
-  if universe > 0 && (universe <= dense_factor * card || universe <= small_universe)
-  then begin
+  if dense ~universe ~card then begin
     let bits = Bytes.make ((universe + 7) lsr 3) '\000' in
     Hashtbl.iter
       (fun id () ->
@@ -92,10 +91,7 @@ let of_sorted_array arr = Sorted arr
    off the compressed blocks. Same density rule as [of_hashtbl]. *)
 let of_view ~universe view =
   let card = Rdf_store.Index.view_length view in
-  if
-    universe > 0
-    && (universe <= dense_factor * card || universe <= small_universe)
-  then begin
+  if dense ~universe ~card then begin
     let bits = Bytes.make ((universe + 7) lsr 3) '\000' in
     for i = 0 to card - 1 do
       let id = Rdf_store.Index.view_get view i in

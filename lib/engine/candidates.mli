@@ -14,8 +14,9 @@ type t
 
 (** [of_hashtbl ~universe tbl] builds a set from the keys of [tbl].
     [universe] is the dictionary size (ids are dense in
-    [0 .. universe-1]); the bitset representation is chosen when it is no
-    larger than the equivalent sorted array, or the universe is small. *)
+    [0 .. universe-1]); the bitset representation is chosen exactly when
+    it is no larger than the equivalent sorted array
+    ([universe <= 64 × cardinality]). *)
 val of_hashtbl : universe:int -> (int, unit) Hashtbl.t -> set
 
 (** [of_sorted_array arr] wraps a strictly increasing array without

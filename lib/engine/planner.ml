@@ -114,20 +114,35 @@ let sample_matches store pattern row ~limit =
 let connected bound pattern =
   List.exists (fun col -> List.mem col bound) (Compiled.var_columns pattern)
 
-(* Pick the most selective pattern, preferring ones connected to the
-   already-bound columns; returns (choice, rest). *)
-let pick_next bound candidates =
+(* Pick the most selective item, preferring ones connected to the
+   already-bound columns; returns (choice, rest). Ties keep the earlier
+   item, so the order of [items] breaks them. *)
+let pick_next ~pattern bound items =
   let better (c1, n1) (c2, n2) =
-    let conn1 = connected bound c1 and conn2 = connected bound c2 in
+    let conn1 = connected bound (pattern c1)
+    and conn2 = connected bound (pattern c2) in
     if conn1 <> conn2 then conn1 else n1 < n2
   in
-  match candidates with
+  match items with
   | [] -> invalid_arg "Planner.pick_next: empty"
   | first :: rest ->
       let choice =
         List.fold_left (fun acc c -> if better c acc then c else acc) first rest
       in
-      (choice, List.filter (fun (c, _) -> c != fst choice) candidates)
+      (choice, List.filter (fun (c, _) -> c != fst choice) items)
+
+(* The greedy join order over (item, count) pairs: repeatedly the most
+   selective item, staying connected when possible. Planning orders
+   patterns by their exact counts; steering re-orders a plan's steps by
+   candidate-bounded counts. *)
+let greedy_order ~pattern items =
+  let rec go bound acc = function
+    | [] -> List.rev acc
+    | items ->
+        let ((c, _) as choice), rest = pick_next ~pattern bound items in
+        go (Compiled.var_columns (pattern c) @ bound) (choice :: acc) rest
+  in
+  go [] [] items
 
 (* The gStore average_size term: with the predicate constant and an
    already-bound endpoint variable, the average number of edges per
@@ -163,8 +178,8 @@ let plan_with ~sample_matches store stats table patterns =
         List.map (fun p -> (p, Compiled.exact_count store p)) patterns
       in
       let width = Sparql.Vartable.size table in
-      let rec loop bound candidates card sample steps cost_wco cost_hash =
-        match candidates with
+      let rec loop bound ordered card sample steps cost_wco cost_hash =
+        match ordered with
         | [] ->
             let steps = List.rev steps in
             {
@@ -174,8 +189,7 @@ let plan_with ~sample_matches store stats table patterns =
               cost_wco;
               cost_hash;
             }
-        | _ ->
-            let (pattern, pattern_count), rest = pick_next bound candidates in
+        | (pattern, pattern_count) :: rest ->
             let is_first = steps = [] in
             if is_first then begin
               let empty = Sparql.Binding.create ~width in
@@ -239,7 +253,48 @@ let plan_with ~sample_matches store stats table patterns =
                 rest card_after sample (step :: steps) cost_wco cost_hash
             end
       in
-      loop [] with_counts 1. [] [] 0. 0.
+      loop [] (greedy_order ~pattern:Fun.id with_counts) 1. [] [] 0. 0.
 
 let plan store stats table patterns =
   plan_with ~sample_matches store stats table patterns
+
+(* {1 Candidate steering} *)
+
+(* A step's count when a variable of its pattern carries a candidate set
+   of [n] values: at most ⌈n × the predicate's average degree at that
+   endpoint⌉ matches, the way gStore starts from its smallest candidate
+   list. Only constant-predicate endpoints have a degree; the minimum
+   over the pattern's endpoints, capped by the exact count. *)
+let steered_count stats ~card (step : step) =
+  match step.pattern.Compiled.cp with
+  | Compiled.Cvar _ | Compiled.Missing -> step.pattern_count
+  | Compiled.Cterm p ->
+      let pstats = Rdf_store.Stats.predicate stats ~p in
+      let bounded node degree count =
+        match node with
+        | Compiled.Cvar col -> (
+            match card col with
+            | Some n ->
+                min count (int_of_float (Float.ceil (float_of_int n *. degree)))
+            | None -> count)
+        | Compiled.Cterm _ | Compiled.Missing -> count
+      in
+      bounded step.pattern.Compiled.cs pstats.Rdf_store.Stats.avg_out_degree
+        (bounded step.pattern.Compiled.co pstats.Rdf_store.Stats.avg_in_degree
+           step.pattern_count)
+
+let steer stats plan ~card =
+  match plan.steps with
+  | [] | [ _ ] -> plan
+  | steps ->
+      let counted =
+        List.map (fun s -> (s, steered_count stats ~card s)) steps
+      in
+      if List.for_all (fun (s, n) -> n = s.pattern_count) counted then plan
+      else
+        let order =
+          List.map fst (greedy_order ~pattern:(fun s -> s.pattern) counted)
+        in
+        (* Counts moved, but the order may not have. *)
+        if List.for_all2 ( == ) order steps then plan
+        else { plan with steps = order; vsteps = group_steps order }

@@ -49,6 +49,19 @@ val plan :
   Compiled.t list ->
   plan
 
+(** [steer stats plan ~card] re-runs {!plan}'s greedy order over the
+    plan's steps with candidate-bounded counts: a step whose pattern has
+    a constant predicate and a variable endpoint carrying a candidate set
+    of [n] values ([card col = Some n]) counts as
+    [min pattern_count ⌈n × avg degree⌉] (the predicate's average out-
+    or in-degree at that endpoint), so evaluation starts from the
+    smallest candidate set, as gStore starts from its smallest candidate
+    list. Only [steps] and [vsteps] change; [result_card], the costs and
+    every step's estimates are the memoized plan's. Returns [plan] itself
+    (physically) when no count changes or the order does not move. An
+    O(k²) reorder with no index access. *)
+val steer : Rdf_store.Stats.t -> plan -> card:(int -> int option) -> plan
+
 (** [sample_size] is the bounded sample used per extension step. *)
 val sample_size : int
 

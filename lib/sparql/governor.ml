@@ -89,6 +89,7 @@ type counter =
   | Morsels
   | Steals
   | Stops
+  | Steered_bgps
 
 let counter_index = function
   | Intersections -> 0
@@ -101,8 +102,9 @@ let counter_index = function
   | Morsels -> 7
   | Steals -> 8
   | Stops -> 9
+  | Steered_bgps -> 10
 
-let n_counters = 10
+let n_counters = 11
 
 let create ?row_budget ?deadline ?(faults = []) () =
   {

@@ -117,6 +117,8 @@ type counter =
   | Morsels  (** morsels executed by the scheduler *)
   | Steals  (** morsels claimed from another domain's deque *)
   | Stops  (** parallel jobs ended early by a cross-domain [Stop] *)
+  | Steered_bgps
+      (** WCO BGP evaluations whose join order candidate sets moved *)
 
 (** [count t c n] adds [n] to [t]'s counter [c]; safe from any domain. *)
 val count : t -> counter -> int -> unit

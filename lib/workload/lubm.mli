@@ -22,7 +22,8 @@ type config = {
     off-heap compressed columns. *)
 val default : config
 
-(** [tiny] — 1 university at low density (≈ 10k triples), for tests. *)
+(** [tiny] — 1 university at low density (68,779 triples; university 0's
+    department and student floors apply at every scale), for tests. *)
 val tiny : config
 
 (** [scaled n] — [default] with [n] universities (Figure 12's ladder). *)

@@ -491,6 +491,46 @@ let test_evaluator_pruning_reduces_work () =
   Alcotest.(check bool) "some BGPs pruned" true
     (stats_cp.Sparql_uo.Evaluator.pruned_bgps > 0)
 
+(* Candidate sets steer the WCO join order, and an empty running result
+   prunes what follows it under static CP: pushed-rows ceilings on the
+   perfbench-sized LUBM (13 universities, density 0.15) and on
+   [Lubm.tiny], every result equal to Base on the hash engine. The
+   ceilings sit an order of magnitude under the unsteered, unpruned
+   counts (q1.6 14,378, q1.4 779, tiny q1.3 50,592). *)
+let test_candidates_steer_and_prune () =
+  let check store ~mode ~adaptive id ~ceiling =
+    let text =
+      (Workload.Queries.get Workload.Queries.Lubm id).Workload.Queries.text
+    in
+    let stats = Rdf_store.Stats.cached store in
+    let run ~mode ~engine ~adaptive =
+      Sparql_uo.Executor.run ~mode ~engine ~adaptive ~stats store text
+    in
+    let r = run ~mode ~engine:Engine.Bgp_eval.Wco ~adaptive in
+    let base =
+      run ~mode:Sparql_uo.Executor.Base ~engine:Engine.Bgp_eval.Hash_join
+        ~adaptive:false
+    in
+    Alcotest.(check bool) (id ^ " equals Base on hash") true
+      (Sparql.Bag.equal_as_bags
+         (Option.get r.Sparql_uo.Executor.bag)
+         (Option.get base.Sparql_uo.Executor.bag));
+    Alcotest.(check bool)
+      (Printf.sprintf "%s pushes %d <= %d" id r.Sparql_uo.Executor.pushed_rows
+         ceiling)
+      true
+      (r.Sparql_uo.Executor.pushed_rows <= ceiling)
+  in
+  let perf =
+    Workload.Lubm.store
+      { Workload.Lubm.default with universities = 13; density = 0.15 }
+  in
+  check perf ~mode:Sparql_uo.Executor.Full ~adaptive:true "q1.6" ~ceiling:2000;
+  check perf ~mode:Sparql_uo.Executor.Full ~adaptive:true "q1.4" ~ceiling:100;
+  check
+    (Workload.Lubm.store Workload.Lubm.tiny)
+    ~mode:Sparql_uo.Executor.CP ~adaptive:false "q1.3" ~ceiling:100
+
 let test_evaluator_join_space () =
   (* JS of a single BGP is its result size; joining two BGPs multiplies. *)
   let store =
@@ -693,6 +733,8 @@ let () =
       ( "evaluator",
         [
           Alcotest.test_case "pruning reduces work" `Quick test_evaluator_pruning_reduces_work;
+          Alcotest.test_case "candidates steer and prune" `Quick
+            test_candidates_steer_and_prune;
           Alcotest.test_case "join space metric" `Quick test_evaluator_join_space;
         ] );
       ( "executor",

@@ -379,7 +379,11 @@ let prop_engines_agree =
       Sparql.Bag.equal_as_bags wco reference
       && Sparql.Bag.equal_as_bags hash reference)
 
-(* Candidate sets must behave exactly like a post-filter. *)
+(* Candidate sets must behave exactly like a post-filter, in either
+   representation: qgen's universes are under 64 ids, so [of_hashtbl]
+   always builds a bitset there, and the sorted-array copy (plus the
+   empty set) is what drives the sorted-operand, seeded and steered
+   paths. *)
 let prop_candidates_are_filters =
   QCheck2.Test.make ~name:"candidate pruning = post-filter" ~count:150
     QCheck2.Gen.(
@@ -407,25 +411,96 @@ let prop_candidates_are_filters =
           let universe =
             Rdf_store.Dictionary.size (Rdf_store.Triple_store.dictionary store)
           in
-          let cands =
-            Engine.Candidates.set Engine.Candidates.empty ~col
-              (Engine.Candidates.of_hashtbl ~universe values)
+          let sorted =
+            Array.of_list
+              (List.sort_uniq Int.compare
+                 (Hashtbl.fold (fun id () acc -> id :: acc) values []))
           in
-          let width = Sparql.Vartable.size table in
+          let sets =
+            [
+              Engine.Candidates.of_hashtbl ~universe values;
+              Engine.Candidates.of_sorted_array sorted;
+              Engine.Candidates.of_sorted_array [||];
+            ]
+          in
           List.for_all
-            (fun engine ->
-              let env = Engine.Bgp_eval.make store table engine in
-              let pruned = eval_bgp env patterns ~candidates:cands in
-              let full =
-                eval_bgp env patterns ~candidates:Engine.Candidates.empty
-              in
-              let filtered =
-                Sparql.Bag.filter full ~f:(fun row ->
-                    (not (Sparql.Binding.is_bound row col))
-                    || Hashtbl.mem values row.(col))
-              in
-              Sparql.Bag.equal_as_bags pruned filtered)
-            [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
+            (fun set ->
+              let cands = Engine.Candidates.set Engine.Candidates.empty ~col set in
+              List.for_all
+                (fun engine ->
+                  let env = Engine.Bgp_eval.make store table engine in
+                  let pruned = eval_bgp env patterns ~candidates:cands in
+                  let full =
+                    eval_bgp env patterns ~candidates:Engine.Candidates.empty
+                  in
+                  let filtered =
+                    Sparql.Bag.filter full ~f:(fun row ->
+                        (not (Sparql.Binding.is_bound row col))
+                        || Engine.Candidates.mem set row.(col))
+                  in
+                  Sparql.Bag.equal_as_bags pruned filtered)
+                [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
+            sets)
+
+(* --- Candidate steering ------------------------------------------------------------ *)
+
+let ub_iri name =
+  Rdf.Term.iri ("http://swat.cse.lehigh.edu/onto/univ-bench.owl#" ^ name)
+
+let ub name = TP.Term (ub_iri name)
+let lubm_tiny = lazy (Workload.Lubm.store Workload.Lubm.tiny)
+
+(* The compiled predicate position of a [ub:] pattern. *)
+let ub_cp name =
+  Engine.Compiled.Cterm
+    (Option.get
+       (Rdf_store.Triple_store.encode_term (Lazy.force lubm_tiny) (ub_iri name)))
+
+(* LUBM q1.6's inner OPTIONAL BGP, planned on [Lubm.tiny]. *)
+let q16_inner_plan patterns =
+  let store = Lazy.force lubm_tiny in
+  let snap = Rdf_store.Snapshot.of_store store in
+  let stats = Rdf_store.Stats.cached store in
+  let table = Sparql.Vartable.of_list [ "v4"; "v5"; "v6" ] in
+  let compiled = Engine.Compiled.compile_list snap table patterns in
+  let col name = Option.get (Sparql.Vartable.find table name) in
+  (stats, col, Engine.Planner.plan snap stats table compiled)
+
+let email = TP.make (v "v5") (ub "emailAddress") (v "v6")
+let takes = TP.make (v "v5") (ub "takesCourse") (v "v4")
+
+let first_predicate (plan : Engine.Planner.plan) =
+  match plan.Engine.Planner.steps with
+  | first :: _ -> first.Engine.Planner.pattern.Engine.Compiled.cp
+  | [] -> Alcotest.fail "expected steps"
+
+let test_steer_seeds_smallest_set () =
+  let stats, col, plan = q16_inner_plan [ email; takes ] in
+  Alcotest.(check bool) "unsteered plan starts from emailAddress" true
+    (first_predicate plan = ub_cp "emailAddress");
+  let card c = if c = col "v4" then Some 3 else None in
+  let steered = Engine.Planner.steer stats plan ~card in
+  Alcotest.(check bool) "takesCourse moves first" true
+    (first_predicate steered = ub_cp "takesCourse");
+  Alcotest.(check bool) "estimates are the memoized plan's" true
+    (steered.Engine.Planner.result_card = plan.Engine.Planner.result_card
+    && steered.Engine.Planner.cost_wco = plan.Engine.Planner.cost_wco
+    && steered.Engine.Planner.cost_hash = plan.Engine.Planner.cost_hash)
+
+let test_steer_keeps_untouched_plan () =
+  let stats, col, plan = q16_inner_plan [ email; takes ] in
+  Alcotest.(check bool) "no set on the BGP's columns" true
+    (Engine.Planner.steer stats plan ~card:(fun _ -> None) == plan);
+  (* A set on the already-first pattern lowers a count, not the order. *)
+  let card c = if c = col "v6" then Some 1 else None in
+  Alcotest.(check bool) "order does not move" true
+    (Engine.Planner.steer stats plan ~card == plan)
+
+let test_steer_single_pattern () =
+  let stats, col, plan = q16_inner_plan [ takes ] in
+  let card c = if c = col "v4" then Some 3 else None in
+  Alcotest.(check bool) "single pattern unchanged" true
+    (Engine.Planner.steer stats plan ~card == plan)
 
 (* --- Multiway intersection -------------------------------------------------------- *)
 
@@ -1044,6 +1119,15 @@ let () =
             test_planner_cost_independent_of_range;
         ] );
       ("candidates", [ Alcotest.test_case "membership" `Quick test_candidates ]);
+      ( "steering",
+        [
+          Alcotest.test_case "q1.6 inner BGP seeds from ?v4" `Quick
+            test_steer_seeds_smallest_set;
+          Alcotest.test_case "untouched plan is physically equal" `Quick
+            test_steer_keeps_untouched_plan;
+          Alcotest.test_case "single pattern unchanged" `Quick
+            test_steer_single_pattern;
+        ] );
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest prop_engines_agree;
