@@ -1752,16 +1752,15 @@ let adaptive ctx =
                 | _ -> (false, true)
               in
               if not counts_equal then counts_ok := false;
-              let replans, checks, rejects, pruned, steered =
+              let replans, checks, rejects, pruned =
                 match adaptive_report.Sparql_uo.Executor.eval_stats with
                 | Some s ->
                     let pf = s.Sparql_uo.Evaluator.prefilter in
                     ( s.Sparql_uo.Evaluator.replans,
                       pf.Engine.Candidates.checks,
                       pf.Engine.Candidates.rejects,
-                      s.Sparql_uo.Evaluator.pruned_bgps,
-                      s.Sparql_uo.Evaluator.steered_bgps )
-                | None -> (0, 0, 0, 0, 0)
+                      s.Sparql_uo.Evaluator.pruned_bgps )
+                | None -> (0, 0, 0, 0)
               in
               let speedup =
                 match (static_ms, adaptive_ms) with
@@ -1777,7 +1776,7 @@ let adaptive ctx =
                    \"adaptive_ms\": %s, \"speedup\": %s, \"counts_equal\": \
                    %b, \"replans\": %d, \"prefilter_checks\": %d, \
                    \"prefilter_rejects\": %d, \"pruned_bgps\": %d, \
-                   \"steered_bgps\": %d, \"feedback_entries\": %d}"
+                   \"feedback_entries\": %d}"
                   (Workload.Queries.dataset_name ds)
                   entry.Workload.Queries.id
                   (match static_ms with
@@ -1789,7 +1788,7 @@ let adaptive ctx =
                   (match speedup with
                   | Some x -> Printf.sprintf "%.3f" x
                   | None -> "null")
-                  counts_equal replans checks rejects pruned steered
+                  counts_equal replans checks rejects pruned
                   (Sparql_uo.Feedback.length feedback)
                 :: !query_jsons;
               Some

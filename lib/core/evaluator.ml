@@ -93,23 +93,15 @@ let node_columns st node =
   in
   List.filter_map (fun v -> Sparql.Vartable.find table v) vars
 
-(* The columns bound in every row of [bag]. Every column is (vacuously)
-   bound in every row of an empty bag. *)
-let left_universal st bag =
-  if Sparql.Bag.is_empty bag then
-    List.init (Engine.Bgp_eval.width st.env) Fun.id
-  else Sparql.Bag.universal_columns bag
-
 (* Candidate sets drawn from the current result [r]: one per column that is
    bound in every row of [r] and used below [node]; intersected with any
-   outer candidate set for the same column. An empty [r] gives ∅ sets: every
-   join, OPTIONAL or MINUS over an empty left is empty, so nothing [node]
-   produces can survive. *)
+   outer candidate set for the same column. *)
 let candidates_from st outer r node =
   match r with
   | None -> outer
+  | Some bag when Sparql.Bag.is_empty bag -> outer
   | Some bag ->
-      let universal = left_universal st bag in
+      let universal = Sparql.Bag.universal_columns bag in
       let wanted = node_columns st node in
       (* Dictionary ids are dense in [0, size) — the bitset universe. *)
       let universe =
@@ -412,13 +404,16 @@ and forced_for st pass_down ~forced ~left_universal =
 (* One child of Algorithm 1's fold: combine [node]'s solutions with the
    running result [r] ([None] before the first child) and emit the
    combination into [sink]. Returns the node's factor of the join space.
-   With adaptive execution, an empty running result short-circuits the
-   node: every combination form (join, OPTIONAL, MINUS, UNION-join) over
-   an empty left side is empty — the degenerate but common mid-query
-   re-plan. *)
+   Wherever candidate sets may prune (CP/Full, and adaptive execution), an
+   empty running result short-circuits the node: every combination form
+   (join, OPTIONAL, MINUS, UNION-join) over an empty left side is empty —
+   the degenerate but common mid-query re-plan. Base and TT evaluate every
+   node, as the paper's unpruned ablations. *)
 and combine_into st ~cands ~forced r node ~sink =
   match r with
-  | Some bag when st.adaptive && Sparql.Bag.is_empty bag ->
+  | Some bag
+    when (st.adaptive || st.threshold <> No_pruning) && Sparql.Bag.is_empty bag
+    ->
       record_node st
         {
           label = node_label node;
@@ -479,7 +474,9 @@ and combine_into st ~cands ~forced r node ~sink =
              surviving unextended row (OPTIONAL), or resurrect a row its
              excluder would have removed (MINUS). *)
           let left_universal =
-            match r with None -> [] | Some bag -> left_universal st bag
+            match r with
+            | None -> []
+            | Some bag -> Sparql.Bag.universal_columns bag
           in
           let pass_down =
             Engine.Candidates.restrict pass_down ~cols:left_universal

@@ -7,9 +7,10 @@
     become candidate sets for the BGPs evaluated below; a BGP applies a
     candidate set only when it is smaller than a threshold — a fixed row
     count, or (adaptive mode) the engine's estimate of that BGP's own
-    result size. An empty current result gives ∅ sets on every column
-    (nothing can join an empty left), and on the WCO engine the admitted
-    sets steer the BGP's join order ({!Engine.Planner.steer}).
+    result size. An empty current result short-circuits the remaining
+    children of its level (nothing can join an empty left), and on the WCO
+    engine the admitted sets steer the BGP's join order
+    ({!Engine.Planner.steer}).
 
     Adaptive execution ([~adaptive:true]) adds, on top of Adaptive-mode
     pruning:
@@ -26,8 +27,7 @@
       of the context's engine;
     - {e mid-query re-planning}: an estimate off by at least 10x marks
       the node replanned (its correction is already live for every later
-      decision in the query), and an empty running result short-circuits
-      the remaining children of its level.
+      decision in the query).
 
     Each executed node's estimate, actual cardinality and engine are
     reported in [stats.nodes] for [explain].

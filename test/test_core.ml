@@ -496,7 +496,8 @@ let test_evaluator_pruning_reduces_work () =
    perfbench-sized LUBM (13 universities, density 0.15) and on
    [Lubm.tiny], every result equal to Base on the hash engine. The
    ceilings sit an order of magnitude under the unsteered, unpruned
-   counts (q1.6 14,378, q1.4 779, tiny q1.3 50,592). *)
+   counts (q1.6 14,378, q1.4 779, tiny q1.3 50,592). The steered-BGP
+   counter reads positive where steering ran and 0 on the hash engine. *)
 let test_candidates_steer_and_prune () =
   let check store ~mode ~adaptive id ~ceiling =
     let text =
@@ -519,17 +520,36 @@ let test_candidates_steer_and_prune () =
       (Printf.sprintf "%s pushes %d <= %d" id r.Sparql_uo.Executor.pushed_rows
          ceiling)
       true
-      (r.Sparql_uo.Executor.pushed_rows <= ceiling)
+      (r.Sparql_uo.Executor.pushed_rows <= ceiling);
+    r
+  in
+  let steered (r : Sparql_uo.Executor.report) =
+    (Option.get r.eval_stats).Sparql_uo.Evaluator.steered_bgps
   in
   let perf =
     Workload.Lubm.store
       { Workload.Lubm.default with universities = 13; density = 0.15 }
   in
-  check perf ~mode:Sparql_uo.Executor.Full ~adaptive:true "q1.6" ~ceiling:2000;
-  check perf ~mode:Sparql_uo.Executor.Full ~adaptive:true "q1.4" ~ceiling:100;
-  check
-    (Workload.Lubm.store Workload.Lubm.tiny)
-    ~mode:Sparql_uo.Executor.CP ~adaptive:false "q1.3" ~ceiling:100
+  let q16 =
+    check perf ~mode:Sparql_uo.Executor.Full ~adaptive:true "q1.6" ~ceiling:2000
+  in
+  Alcotest.(check bool) "q1.6 counts steered BGPs" true (steered q16 > 0);
+  ignore
+    (check perf ~mode:Sparql_uo.Executor.Full ~adaptive:true "q1.4" ~ceiling:100);
+  ignore
+    (check
+       (Workload.Lubm.store Workload.Lubm.tiny)
+       ~mode:Sparql_uo.Executor.CP ~adaptive:false "q1.3" ~ceiling:100);
+  (* The hash engine keeps the planner's order: nothing is steered. *)
+  let text =
+    (Workload.Queries.get Workload.Queries.Lubm "q1.6").Workload.Queries.text
+  in
+  let hash =
+    Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Full
+      ~engine:Engine.Bgp_eval.Hash_join ~adaptive:false
+      ~stats:(Rdf_store.Stats.cached perf) perf text
+  in
+  Alcotest.(check int) "q1.6 on hash steers nothing" 0 (steered hash)
 
 let test_evaluator_join_space () =
   (* JS of a single BGP is its result size; joining two BGPs multiplies. *)

@@ -338,6 +338,35 @@ let test_candidates () =
   Alcotest.(check bool) "empty is empty" true
     (Engine.Candidates.is_empty Engine.Candidates.empty)
 
+(* [of_hashtbl] against its source table over a 1000-id universe: a set is
+   a bitset exactly when universe <= 64 x cardinality (16 ids here), and
+   either way membership and iteration match the source at every id. *)
+let test_candidates_construction () =
+  let universe = 1000 in
+  let rng = Random.State.make [| 31 |] in
+  List.iter
+    (fun card ->
+      let values = Hashtbl.create card in
+      while Hashtbl.length values < card do
+        Hashtbl.replace values (Random.State.int rng universe) ()
+      done;
+      let set = Engine.Candidates.of_hashtbl ~universe values in
+      let name = Printf.sprintf "card %d" card in
+      Alcotest.(check bool) (name ^ " is a bitset") (card >= 16)
+        (Engine.Candidates.as_sorted set = None);
+      Alcotest.(check int) (name ^ " cardinal") card
+        (Engine.Candidates.cardinal set);
+      for id = 0 to universe - 1 do
+        if Engine.Candidates.mem set id <> Hashtbl.mem values id then
+          Alcotest.failf "%s: membership of %d differs from the source" name id
+      done;
+      let seen = ref [] in
+      Engine.Candidates.iter_values set ~f:(fun v -> seen := v :: !seen);
+      Alcotest.(check (list int)) (name ^ " iterates the source ascending")
+        (List.sort Int.compare (Hashtbl.fold (fun v () acc -> v :: acc) values []))
+        (List.rev !seen))
+    [ 1; 7; 15; 16; 300 ]
+
 (* --- Engine equivalence (property) ------------------------------------------------ *)
 
 (* A BGP's whole result, collected from the streaming engine. *)
@@ -416,15 +445,17 @@ let prop_candidates_are_filters =
               (List.sort_uniq Int.compare
                  (Hashtbl.fold (fun id () acc -> id :: acc) values []))
           in
+          (* Each set paired with its oracle, taken from the source
+             values rather than from the set under test. *)
           let sets =
             [
-              Engine.Candidates.of_hashtbl ~universe values;
-              Engine.Candidates.of_sorted_array sorted;
-              Engine.Candidates.of_sorted_array [||];
+              (Engine.Candidates.of_hashtbl ~universe values, Hashtbl.mem values);
+              (Engine.Candidates.of_sorted_array sorted, Hashtbl.mem values);
+              (Engine.Candidates.of_sorted_array [||], fun _ -> false);
             ]
           in
           List.for_all
-            (fun set ->
+            (fun (set, admits) ->
               let cands = Engine.Candidates.set Engine.Candidates.empty ~col set in
               List.for_all
                 (fun engine ->
@@ -436,7 +467,7 @@ let prop_candidates_are_filters =
                   let filtered =
                     Sparql.Bag.filter full ~f:(fun row ->
                         (not (Sparql.Binding.is_bound row col))
-                        || Engine.Candidates.mem set row.(col))
+                        || admits row.(col))
                   in
                   Sparql.Bag.equal_as_bags pruned filtered)
                 [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
@@ -1118,7 +1149,12 @@ let () =
           Alcotest.test_case "planning cost independent of range" `Quick
             test_planner_cost_independent_of_range;
         ] );
-      ("candidates", [ Alcotest.test_case "membership" `Quick test_candidates ]);
+      ( "candidates",
+        [
+          Alcotest.test_case "membership" `Quick test_candidates;
+          Alcotest.test_case "construction matches source" `Quick
+            test_candidates_construction;
+        ] );
       ( "steering",
         [
           Alcotest.test_case "q1.6 inner BGP seeds from ?v4" `Quick
